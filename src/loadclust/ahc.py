@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import DistanceMatrix, MetricConfig
+from .distance import DistanceMatrix, MetricConfig, medoid_of
 from .results import MEDOID_INDEX, ClusteringResult
 
 LINKAGES = ("single", "complete", "average")
@@ -232,14 +232,18 @@ def cut(dendrogram: Dendrogram, k: int, matrix: DistanceMatrix) -> ClusteringRes
             roots[r] = len(roots)
         assignments.append(roots[r])
 
+    square = matrix.to_square()
+    labels = np.asarray(assignments)
     prototypes = []
-    objective = 0.0
+    gaps = []
     for c in range(k):
-        members = [i for i in range(n) if assignments[i] == c]
-        medoid = matrix.medoid(members)
+        members = np.flatnonzero(labels == c)
+        medoid = medoid_of(square, members)
         prototypes.append(medoid)
-        for i in members:
-            objective += matrix.get(i, medoid)
+        gaps.append(square[members, medoid])
+    # cumsum adds strictly in order: the bits of a += loop over clusters
+    # and their members
+    objective = float(np.cumsum(np.concatenate(gaps))[-1])
 
     return ClusteringResult(
         method="ahc",

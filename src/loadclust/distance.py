@@ -7,10 +7,19 @@ quadratic DP cost to O(n * window).
 
 With ``window=1`` the band pins the alignment to the diagonal and DTW
 *equals* the Euclidean distance, bitwise: both run the identical
-left-to-right sum of squared differences. That identity is why the
-pointwise kernels below are plain Python loops instead of numpy
-vectorization; numpy's pairwise summation would produce a different
-rounding, breaking the equality that guards the band logic.
+left-to-right sum of squared differences. That identity guards the band
+logic, so no kernel here may reorder a sum.
+
+``dtw`` and ``pointwise_distance`` are the scalar reference definitions.
+``pairwise_matrix`` and ``paired_distances`` compute the same values for a
+whole batch of pairs at once: the kernels loop over hours (pointwise) or
+band cells (dtw) in the scalar order, and each step applies the scalar
+code's ``-``, ``*``, ``abs``, three-way min or ``+`` to every pair of the
+batch as one elementwise array operation. IEEE arithmetic rounds each of
+those operations the same way in numpy as in Python, so every entry equals
+its scalar counterpart bit for bit, and the window-one identity carries
+over. No numpy reduction (``sum``, ``dot``) is used on a distance, because
+its pairwise summation would round differently.
 
 DTW is not a metric: it violates the triangle inequality, so nothing
 downstream may index or prune by it. It is symmetric and non-negative,
@@ -176,6 +185,113 @@ def pointwise_distance(x, y, kind: str = "euclidean") -> float:
     raise ValueError(f"unknown pointwise metric {kind!r}")
 
 
+def stack_curves(rows) -> np.ndarray:
+    """Stack equal-length series into an (n, length) float array.
+
+    The validation every batched kernel relies on, done once per dataset
+    instead of once per pair: raises ValueError for no rows, empty or
+    ragged rows, and non-finite values, naming the first offending row.
+    """
+    rows = list(rows)
+    if not rows:
+        raise ValueError("need at least one series")
+    length = len(rows[0])
+    if length == 0:
+        raise ValueError("series must be non-empty")
+    for i, r in enumerate(rows):
+        if len(r) != length:
+            raise ValueError(
+                f"series {i} has {len(r)} values, series 0 has {length}"
+            )
+    out = np.asarray(rows, dtype=float)
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        raise ValueError(f"non-finite value in series {int(np.argmax(bad))}")
+    return out
+
+
+def paired_distances(xs: np.ndarray, ys: np.ndarray,
+                     metric: MetricConfig) -> np.ndarray:
+    """``metric.distance(xs[p], ys[p])`` for every row p, in one batch.
+
+    ``xs`` and ``ys`` are equal-shape (pairs, length) arrays as returned by
+    ``stack_curves``. Every entry equals the scalar function's, bit for bit.
+    Overflow is silent, as it is for Python floats: a huge difference
+    squares to inf in both.
+    """
+    if xs.ndim != 2 or xs.shape != ys.shape:
+        raise ValueError(
+            f"need two equal-shape 2-D arrays, got {xs.shape} and {ys.shape}"
+        )
+    # hour-major: each kernel step is one elementwise operation over a
+    # contiguous row holding every pair's value for that hour
+    a = np.ascontiguousarray(xs.T)
+    b = np.ascontiguousarray(ys.T)
+    with np.errstate(over="ignore"):
+        if metric.kind == "dtw":
+            return _dtw_columns(a, b, metric.window)
+        return _pointwise_columns(a, b, metric.kind)
+
+
+def _dtw_columns(a, b, window: int) -> np.ndarray:
+    """``dtw`` on equal-length columns: the same two rolling DP rows and the
+    same cell order, with one array element per pair in every cell."""
+    n, pairs = a.shape
+    prev = np.full((n + 1, pairs), math.inf)
+    curr = np.full((n + 1, pairs), math.inf)
+    prev[0] = 0.0
+    for i in range(1, n + 1):
+        lo = max(1, i - window + 1)
+        hi = min(n, i + window - 1)
+        d = a[i - 1] - b[lo - 1:hi]
+        cost = d * d
+        # min(prev[j-1], prev[j]) for the whole band row; the horizontal
+        # predecessor curr[j-1] depends on the previous cell, so it is
+        # folded in cell by cell. min is exact, so the grouping of the
+        # three-way min cannot change a bit.
+        best = np.minimum(prev[lo - 1:hi], prev[lo:hi + 1])
+        curr[lo - 1] = math.inf
+        for c, j in enumerate(range(lo, hi + 1)):
+            np.minimum(best[c], curr[j - 1], out=best[c])
+            np.add(cost[c], best[c], out=curr[j])
+        prev, curr = curr, prev
+    return np.sqrt(prev[n])
+
+
+def _pointwise_columns(a, b, kind: str) -> np.ndarray:
+    """``pointwise_distance`` on columns, accumulating hour by hour."""
+    acc = np.zeros(a.shape[1])
+    if kind == "euclidean":
+        for x, y in zip(a, b):
+            d = x - y
+            acc += d * d
+        return np.sqrt(acc)
+    if kind == "manhattan":
+        for x, y in zip(a, b):
+            acc += np.abs(x - y)
+        return acc
+    if kind == "cosine":
+        nx = np.zeros_like(acc)
+        ny = np.zeros_like(acc)
+        for x, y in zip(a, b):
+            acc += x * y
+            nx += x * x
+            ny += y * y
+        nx = np.sqrt(nx)
+        ny = np.sqrt(ny)
+        degenerate = (nx < 1e-12) | (ny < 1e-12)
+        if degenerate.any():
+            logger.debug("cosine distance of %d pairs with a near-zero vector "
+                         "defined as 1.0", int(degenerate.sum()))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = 1.0 - acc / (nx * ny)
+        # min(2.0, max(0.0, v)) with Python's comparison semantics
+        v = np.where(v > 0.0, v, 0.0)
+        v = np.where(v < 2.0, v, 2.0)
+        return np.where(degenerate, 1.0, v)
+    raise ValueError(f"unknown pointwise metric {kind!r}")
+
+
 def condensed_index(n: int, i: int, j: int) -> int:
     """Position of pair (i, j), i < j, in a condensed distance vector.
 
@@ -239,28 +355,56 @@ class DistanceMatrix:
 
         ``members`` defaults to everything. Ties go to the lowest index.
         """
-        idx = list(range(self.n)) if members is None else sorted(set(int(m) for m in members))
+        idx = range(self.n) if members is None else sorted(set(int(m) for m in members))
         if not idx:
             raise ValueError("members must be non-empty")
-        best_i = idx[0]
-        best_sum = math.inf
-        for i in idx:
-            s = 0.0
-            for j in idx:
-                if i != j:
-                    s += self.get(i, j)
-            if s < best_sum:
-                best_sum = s
-                best_i = i
-        return best_i
+        if idx[0] < 0 or idx[-1] >= self.n:
+            raise IndexError(f"index out of range for n={self.n}")
+        return medoid_of(self.to_square(), idx)
+
+
+def medoid_of(square: np.ndarray, members) -> int:
+    """The member with the smallest summed distance to the other members.
+
+    ``square`` is a symmetric matrix with a zero diagonal and ``members``
+    ascending indices into it; ties go to the lowest index. The sums are
+    column sums because numpy adds along axis 0 one row at a time, in
+    member order: each equals the left-to-right loop over co-members bit
+    for bit (the zero diagonal term changes nothing). A row sum would use
+    pairwise summation and round differently.
+    """
+    idx = np.asarray(members)
+    sums = square[np.ix_(idx, idx)].sum(axis=0)
+    return int(idx[np.argmin(sums)])
+
+
+#: Pairs per batch in ``pairwise_matrix``. A batch's arrays are a few
+#: (25, pairs) floats, so this keeps the kernel's working memory near 1 MB
+#: at any n.
+_BLOCK_PAIRS = 1024
+
+
+def _pair_blocks(n: int):
+    """Condensed order in batches: yields (start, i, j) with i[p], j[p] the
+    pair at position start + p. Only the O(n) row starts are kept, never
+    all O(n^2) indices."""
+    rows = np.arange(n - 1)
+    row_start = n * rows - rows * (rows + 1) // 2
+    total = n * (n - 1) // 2
+    for start in range(0, total, _BLOCK_PAIRS):
+        pos = np.arange(start, min(start + _BLOCK_PAIRS, total))
+        i = np.searchsorted(row_start, pos, side="right") - 1
+        yield start, i, pos - row_start[i] + i + 1
 
 
 def pairwise_matrix(dataset, metric: MetricConfig | None = None) -> DistanceMatrix:
     """All pairwise distances for a dataset under one metric config.
 
-    Pairs are computed serially in condensed order, so the result is
-    byte-reproducible; a parallel fill would be admissible only if it wrote
-    each entry exactly once and matched the serial result bit for bit.
+    The dataset is stacked and validated once (``stack_curves``); ragged
+    or non-finite curves raise ValueError. The condensed vector is then
+    filled in fixed-size batches of consecutive pairs, each computed by the
+    batched kernels, so every entry equals ``metric.distance`` on its pair
+    bit for bit and the result is byte-reproducible.
 
     Shape metrics on a raw dataset almost always mean a missing
     normalization step; that raises ``UnnormalizedDataWarning`` but still
@@ -279,17 +423,13 @@ def pairwise_matrix(dataset, metric: MetricConfig | None = None) -> DistanceMatr
             UnnormalizedDataWarning,
             stacklevel=2,
         )
-    rows = [c.values for c in dataset]
+    # Stored hour-major, so a batch gathered as cols[:, i] is already laid
+    # out the way paired_distances wants, and its .T costs no copy there.
+    cols = np.ascontiguousarray(stack_curves(c.values for c in dataset).T)
     out = np.empty(n * (n - 1) // 2, dtype=float)
-    pos = 0
-    for i in range(n - 1):
-        xi = rows[i]
-        for j in range(i + 1, n):
-            try:
-                out[pos] = cfg.distance(xi, rows[j])
-            except ValueError as e:
-                raise ValueError(f"distance failed for pair ({i}, {j}): {e}") from e
-            pos += 1
+    for start, i, j in _pair_blocks(n):
+        out[start:start + len(i)] = paired_distances(cols[:, i].T,
+                                                     cols[:, j].T, cfg)
     return DistanceMatrix(n, out, cfg)
 
 

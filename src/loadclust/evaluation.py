@@ -27,9 +27,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ahc import LINKAGES, build_dendrogram, cut
 from .distance import (MetricConfig, UnnormalizedDataWarning,
-                       pairwise_matrix, pointwise_distance)
+                       paired_distances, pairwise_matrix, stack_curves)
 from .partitional import FitError, gmm_em, kmeans, kmedoids
 from .results import MEDOID_INDEX, ClusteringResult, FitOptions
 
@@ -83,17 +85,17 @@ def wcbcr(result: ClusteringResult, dataset) -> float:
             UnnormalizedDataWarning,
             stacklevel=2,
         )
-    protos = prototypes(result, dataset)
-
-    numerator = 0.0
-    for i, a in enumerate(result.assignments):
-        numerator += pointwise_distance(dataset[i].values, protos[a],
-                                        EVALUATION_METRIC)
-    denominator = 0.0
-    for a in range(result.k - 1):
-        for b in range(a + 1, result.k):
-            denominator += pointwise_distance(protos[a], protos[b],
-                                              EVALUATION_METRIC)
+    curves = stack_curves(c.values for c in dataset)
+    protos = stack_curves(prototypes(result, dataset))
+    euclidean = MetricConfig(EVALUATION_METRIC)
+    # one batch per sum; cumsum then adds strictly left to right, the bits
+    # of a += loop over curves and over prototype pairs (a, b), a < b
+    within = paired_distances(curves, protos[np.asarray(result.assignments)],
+                              euclidean)
+    a, b = np.triu_indices(result.k, 1)
+    between = paired_distances(protos[a], protos[b], euclidean)
+    numerator = float(np.cumsum(within)[-1])
+    denominator = float(np.cumsum(between)[-1])
     if denominator == 0.0:
         raise DegenerateClusteringError(
             "all cluster prototypes are identical; the clustering is degenerate"

@@ -7,6 +7,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 
 from loadclust import (Dendrogram, MergeStep, MetricConfig, build_dendrogram,
                        cut, load_dendrogram, save_dendrogram)
+from loadclust.ahc import LINKAGES
 
 from conftest import (embed_1d, linkage_oracle, random_square,
                       square_to_matrix, wpgma_pair_weights)
@@ -311,6 +312,91 @@ class TestCut:
         small = square_to_matrix([[0, 1], [1, 0]])
         with pytest.raises(ValueError, match="leaves"):
             cut(d, 2, small)
+
+
+def medoid_oracle(matrix, members):
+    """The Python-loop medoid: summed get() distances, strict < keeps the
+    lowest index on ties."""
+    idx = sorted(set(members))
+    best_i, best_sum = idx[0], math.inf
+    for i in idx:
+        s = 0.0
+        for j in idx:
+            if i != j:
+                s += matrix.get(i, j)
+        if s < best_sum:
+            best_sum, best_i = s, i
+    return best_i
+
+
+def cut_oracle(assignments, k, matrix):
+    """Prototypes and objective of a cut by per-member loops."""
+    prototypes, objective = [], 0.0
+    for c in range(k):
+        members = [i for i, a in enumerate(assignments) if a == c]
+        medoid = medoid_oracle(matrix, members)
+        prototypes.append(medoid)
+        for i in members:
+            objective += matrix.get(i, medoid)
+    return tuple(prototypes), objective
+
+
+def absorbing_square(rng, n):
+    """Symmetric matrix mixing 2**53 with small integers: whether a small
+    addend is absorbed depends on the summation order, so a sum computed in
+    any other order than the oracle's shows up as a different medoid or
+    objective."""
+    tri = rng.choice([2.0 ** 53, 1.0, 2.0, 3.0], size=(n, n),
+                     p=[0.1, 0.3, 0.3, 0.3])
+    square = np.triu(tri, 1)
+    return square + square.T
+
+
+class TestCutAgainstOracle:
+    """Medoids and objectives must match the per-member loops bit for bit."""
+
+    def check(self, matrix):
+        for linkage in LINKAGES:
+            d = build_dendrogram(matrix, linkage)
+            for k in range(1, matrix.n + 1):
+                r = cut(d, k, matrix)
+                protos, objective = cut_oracle(r.assignments, k, matrix)
+                assert r.prototypes == protos
+                assert r.objective.hex() == objective.hex()
+
+    def test_tie_heavy_matrices(self):
+        rng = np.random.default_rng(200)
+        for _ in range(15):
+            self.check(square_to_matrix(random_square(rng, int(rng.integers(3, 12)),
+                                                      integer=True)))
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(100)
+        for _ in range(15):
+            self.check(square_to_matrix(random_square(rng, int(rng.integers(3, 12)))))
+
+    def test_order_sensitive_matrices(self):
+        rng = np.random.default_rng(0)
+        for t in range(400):
+            m = square_to_matrix(absorbing_square(rng, int(rng.integers(9, 20))))
+            assert m.medoid() == medoid_oracle(m, range(m.n))
+            if t % 40 == 0:
+                self.check(m)
+
+    def test_noisy_matrix(self, noisy_matrix):
+        self.check(noisy_matrix)
+
+    def test_distance_matrix_medoid(self, noisy_matrix):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            members = rng.choice(noisy_matrix.n, size=int(rng.integers(1, 30)),
+                                 replace=False).tolist()
+            assert (noisy_matrix.medoid(members)
+                    == medoid_oracle(noisy_matrix, members))
+        tied = square_to_matrix(random_square(rng, 9, integer=True))
+        for size in range(1, 10):
+            members = list(range(size))
+            assert tied.medoid(members) == medoid_oracle(tied, members)
 
 
 class TestDendrogramFiles:

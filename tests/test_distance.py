@@ -1,6 +1,8 @@
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,12 +13,42 @@ from loadclust import (Dataset, DistanceMatrix, MetricConfig,
                        UnnormalizedDataWarning, dtw, load_matrix,
                        normalize_dataset, pairwise_matrix,
                        pointwise_distance, save_matrix)
-from loadclust.distance import condensed_index
+import loadclust.distance as distance
+from loadclust.distance import condensed_index, paired_distances
 
 from conftest import dtw_oracle, make_curve
 
 series = st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False),
                   min_size=1, max_size=8)
+
+# 24-hour curves biased towards the cases that break a careless batched
+# kernel: repeated values (ties in the DTW min), constant curves, and
+# near-zero norms (the cosine 1.0 rule)
+_hour = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0]),
+                  st.floats(min_value=-3, max_value=3, allow_nan=False))
+day_curves = st.one_of(
+    st.lists(_hour, min_size=24, max_size=24),
+    st.floats(min_value=-3, max_value=3, allow_nan=False).map(lambda v: [v] * 24),
+    st.lists(st.floats(min_value=-1e-13, max_value=1e-13), min_size=24,
+             max_size=24),
+)
+
+
+def curve_dataset(rows):
+    curves = tuple(make_curve(r, hid=f"c{i}", normalized=True)
+                   for i, r in enumerate(rows))
+    return Dataset(curves, "per-curve")
+
+
+def scalar_matrix(rows, cfg):
+    """The condensed vector by one scalar call per pair, in condensed order."""
+    n = len(rows)
+    return np.array([cfg.distance(rows[i], rows[j])
+                     for i in range(n) for j in range(i + 1, n)])
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
 class TestMetricConfig:
@@ -284,6 +316,74 @@ class TestPairwiseMatrix:
 
     def test_infeasible_entries_never_arise_for_curves(self, noisy_matrix):
         assert np.all(np.isfinite(noisy_matrix.condensed))
+
+
+class TestBatchedAgainstScalar:
+    """pairwise_matrix must equal one scalar call per pair, bit for bit."""
+
+    METRICS = ([MetricConfig("dtw", w) for w in range(1, 25)]
+               + [MetricConfig(kind) for kind in ("euclidean", "manhattan",
+                                                  "cosine")])
+
+    @pytest.mark.parametrize("cfg", METRICS, ids=lambda c: c.label())
+    @given(rows=st.lists(day_curves, min_size=2, max_size=8),
+           block=st.sampled_from([1, 3, 5, 64]))
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    def test_every_metric_and_window(self, cfg, rows, block):
+        # small batches put batch boundaries mid-row at these sizes
+        with mock.patch.object(distance, "_BLOCK_PAIRS", block):
+            got = pairwise_matrix(curve_dataset(rows), cfg).condensed
+        assert np.array_equal(bits(got), bits(scalar_matrix(rows, cfg)))
+
+    @pytest.mark.parametrize("cfg", [MetricConfig("dtw", 1), MetricConfig("dtw", 4),
+                                     MetricConfig("dtw", 24), MetricConfig("euclidean"),
+                                     MetricConfig("manhattan"), MetricConfig("cosine")],
+                             ids=lambda c: c.label())
+    def test_at_the_real_batch_size(self, cfg):
+        n = 50
+        block = distance._BLOCK_PAIRS
+        assert n * (n - 1) // 2 > block
+        # the first batch boundary falls inside a row, not at a row start
+        assert block not in {condensed_index(n, i, i + 1) for i in range(n - 1)}
+        rng = np.random.default_rng(21)
+        rows = [list(rng.normal(size=24)) for _ in range(n - 2)]
+        rows += [[0.0] * 24, [1e-14] * 24]
+        got = pairwise_matrix(curve_dataset(rows), cfg).condensed
+        assert np.array_equal(bits(got), bits(scalar_matrix(rows, cfg)))
+
+    @given(rows=st.lists(day_curves, min_size=2, max_size=8))
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    def test_window_one_is_bitwise_euclidean(self, rows):
+        ds = curve_dataset(rows)
+        dtw1 = pairwise_matrix(ds, MetricConfig("dtw", 1)).condensed
+        eu = pairwise_matrix(ds, MetricConfig("euclidean")).condensed
+        assert np.array_equal(bits(dtw1), bits(eu))
+
+    @pytest.mark.parametrize("kind", ["dtw", "euclidean", "manhattan", "cosine"])
+    def test_overflow_behaves_like_python_floats(self, kind):
+        # squares overflow to inf, and cosine's inf/inf is nan, which
+        # Python's max(0.0, nan) turns into 0.0
+        rows = [[1e200] * 24, [-1e200] * 24, [1e200] * 23 + [0.0], [0.0] * 24]
+        cfg = MetricConfig(kind)
+        got = pairwise_matrix(curve_dataset(rows), cfg).condensed
+        assert np.array_equal(bits(got), bits(scalar_matrix(rows, cfg)))
+
+    def test_rejects_ragged_and_non_finite_curves(self):
+        # LoadCurve already refuses both, so use bare objects with .values
+        ragged = [SimpleNamespace(values=[0.0] * 24),
+                  SimpleNamespace(values=[0.0] * 23)]
+        with pytest.raises(ValueError, match="series 1 has 23 values"):
+            pairwise_matrix(ragged, MetricConfig("euclidean"))
+        for bad in (math.nan, math.inf):
+            rows = [SimpleNamespace(values=[0.0] * 24) for _ in range(3)]
+            rows[2] = SimpleNamespace(values=[0.0] * 23 + [bad])
+            with pytest.raises(ValueError, match="non-finite value in series 2"):
+                pairwise_matrix(rows, MetricConfig("dtw", 4))
+
+    def test_paired_distances_rejects_unequal_shapes(self):
+        with pytest.raises(ValueError, match="equal-shape"):
+            paired_distances(np.zeros((2, 24)), np.zeros((2, 23)),
+                             MetricConfig("euclidean"))
 
 
 class TestMatrixFiles:

@@ -2,15 +2,17 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 import loadclust.evaluation as ev
 from loadclust import (ClusteringResult, Dataset, DegenerateClusteringError,
                        DegenerateElbowWarning, MethodSpec, MetricConfig,
                        SweepReport, UnnormalizedDataWarning, build_dendrogram,
-                       cut, elbow, fit, kmeans, load_sweep, prototypes,
-                       save_sweep, save_table, sweep, sweep_table, wcbcr,
-                       z_normalize)
+                       cut, elbow, fit, kmeans, load_sweep, pairwise_matrix,
+                       pointwise_distance, prototypes, save_sweep, save_table,
+                       sweep, sweep_table, wcbcr, z_normalize)
+from loadclust.ahc import LINKAGES
 from loadclust.results import FitOptions
 
 from conftest import embed_1d, make_curve
@@ -106,6 +108,52 @@ class TestWcbcr:
         with pytest.warns(UnnormalizedDataWarning):
             v = wcbcr(result, ds)
         assert v == pytest.approx(0.4, abs=1e-12)
+
+
+def wcbcr_oracle(result, dataset):
+    """WCBCR by one scalar Euclidean call per curve and per prototype pair."""
+    protos = prototypes(result, dataset)
+    numerator = 0.0
+    for i, a in enumerate(result.assignments):
+        numerator += pointwise_distance(dataset[i].values, protos[a], "euclidean")
+    denominator = 0.0
+    for a in range(result.k - 1):
+        for b in range(a + 1, result.k):
+            denominator += pointwise_distance(protos[a], protos[b], "euclidean")
+    return numerator / denominator
+
+
+class TestWcbcrAgainstOracle:
+    """The batched score must match the scalar loops bit for bit."""
+
+    def check(self, result, dataset):
+        assert wcbcr(result, dataset).hex() == wcbcr_oracle(result, dataset).hex()
+
+    def test_ahc_cuts_of_noisy_matrix(self, noisy_dataset, noisy_matrix):
+        ds, _ = noisy_dataset
+        for linkage in LINKAGES:
+            d = build_dendrogram(noisy_matrix, linkage)
+            for k in range(2, 9):
+                self.check(cut(d, k, noisy_matrix), ds)
+
+    def test_vector_prototypes(self, noisy_dataset):
+        ds, _ = noisy_dataset
+        for k in range(2, 9):
+            self.check(kmeans(ds, FitOptions(k=k, seed=k, restarts=2)), ds)
+
+    def test_tie_heavy_points(self):
+        # integer points on a line: many equal distances and tied medoids
+        rng = np.random.default_rng(200)
+        for _ in range(15):
+            ds = embed_1d(rng.integers(0, 5, size=int(rng.integers(4, 12))),
+                          normalized=True)
+            m = pairwise_matrix(ds, MetricConfig("euclidean"))
+            d = build_dendrogram(m, "average")
+            for k in range(2, len(ds) + 1):
+                r = cut(d, k, m)
+                # all-equal prototypes are the degenerate case, tested above
+                if len({ds[p].values for p in r.prototypes}) > 1:
+                    self.check(r, ds)
 
 
 class TestMethodSpec:
