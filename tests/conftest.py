@@ -139,6 +139,76 @@ def linkage_oracle(square, linkage: str):
     return merges
 
 
+def _closest_pair(live, dist):
+    """Smallest-distance live pair; ties to lexicographically smallest ids.
+
+    Pairs are scanned in ascending (a, b) order with a strict comparison,
+    so the first minimum found is the lexicographically smallest tied pair.
+    """
+    best = math.inf
+    pair = None
+    ids = sorted(live)
+    for a_pos, a in enumerate(ids):
+        for b in ids[a_pos + 1:]:
+            d = dist[(a, b)]
+            if d < best:
+                best = d
+                pair = (a, b)
+    return pair, best
+
+
+def dict_build_oracle(matrix, linkage: str = "average",
+                      size_weighted: bool = False):
+    """The original O(n^3) ``build_dendrogram``: a dict of every live pair,
+    rescanned in full before each merge.
+
+    Kept verbatim as the bitwise reference for the library's
+    nearest-neighbour-cache build: same merges, sizes and height bits.
+    """
+    from loadclust.ahc import LINKAGES, Dendrogram, MergeStep
+    if linkage not in LINKAGES:
+        raise ValueError(f"unknown linkage {linkage!r}, expected one of {LINKAGES}")
+    n = matrix.n
+    if n < 2:
+        raise ValueError("need at least 2 curves to build a dendrogram")
+    if not np.all(np.isfinite(matrix.condensed)):
+        raise ValueError("distance matrix contains non-finite entries")
+
+    dist = {}
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            dist[(i, j)] = matrix.get(i, j)
+    sizes = {i: 1 for i in range(n)}
+    live = set(range(n))
+
+    merges = []
+    for t in range(n - 1):
+        (a, b), h = _closest_pair(live, dist)
+        new_id = n + t
+        new_size = sizes[a] + sizes[b]
+        merges.append(MergeStep(a, b, h, new_size))
+
+        live.discard(a)
+        live.discard(b)
+        for r in live:
+            da = dist.pop((min(a, r), max(a, r)))
+            db = dist.pop((min(b, r), max(b, r)))
+            if linkage == "single":
+                d = da if da < db else db
+            elif linkage == "complete":
+                d = da if da > db else db
+            elif size_weighted:
+                d = (sizes[a] * da + sizes[b] * db) / new_size
+            else:
+                d = (da + db) / 2.0
+            dist[(r, new_id)] = d
+        del dist[(a, b)]
+        sizes[new_id] = new_size
+        live.add(new_id)
+
+    return Dendrogram(n, linkage, tuple(merges), matrix.metric)
+
+
 def wpgma_pair_weights(children, n, cluster_id):
     """Leaf weights 2^(-depth) inside a merge tree, summing to 1."""
     weights = {}

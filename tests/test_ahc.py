@@ -1,16 +1,19 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.cluster.hierarchy as sch
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from loadclust import (Dendrogram, MergeStep, MetricConfig, build_dendrogram,
-                       cut, load_dendrogram, save_dendrogram)
+from loadclust import (Dendrogram, DistanceMatrix, MergeStep, MetricConfig,
+                       build_dendrogram, cut, load_dendrogram, save_dendrogram)
 from loadclust.ahc import LINKAGES
 
-from conftest import (embed_1d, linkage_oracle, random_square,
-                      square_to_matrix, wpgma_pair_weights)
+from conftest import (dict_build_oracle, embed_1d, linkage_oracle,
+                      random_square, square_to_matrix, wpgma_pair_weights)
 
 
 class TestMergeStep:
@@ -414,3 +417,112 @@ class TestDendrogramFiles:
         p.write_text("step,left,right,height,new_size\n")
         with pytest.raises(ValueError, match="metadata"):
             load_dendrogram(p)
+
+    def test_malformed_merge_row_names_its_line(self, tmp_path, noisy_matrix):
+        good = tmp_path / "good.csv"
+        save_dendrogram(build_dendrogram(noisy_matrix, "average"), good)
+        lines = good.read_text().splitlines(keepends=True)
+        p = tmp_path / "bad.csv"
+        where = re.escape(str(p))
+        for bad_row in ("2,5,7\n", "2,5,seven,0.5,3\n", "2,5,7,nan,3\n"):
+            p.write_text("".join(lines[:4] + [bad_row] + lines[5:]))
+            with pytest.raises(ValueError, match=f"^{where}:5: bad merge row"):
+                load_dendrogram(p)
+
+    def test_incomplete_metadata_names_its_line(self, tmp_path):
+        rows = "step,left,right,height,new_size\n0,0,1,1.0,2\n"
+        p = tmp_path / "bad.csv"
+        where = re.escape(str(p))
+        for meta, missing in (("n_leaves=2 linkage=single window=1", "metric"),
+                              ("n_leaves=2 linkage=single metric=dtw",
+                               "window")):
+            p.write_text(f"# {meta}\n{rows}")
+            with pytest.raises(ValueError, match=f"^{where}:1: .*{missing}"):
+                load_dendrogram(p)
+        p.write_text(f"# n_leaves=2 linkage=single metric=dtw window=w\n{rows}")
+        with pytest.raises(ValueError, match=f"^{where}:1: bad metadata"):
+            load_dendrogram(p)
+
+
+BUILD_CONFIGS = [("single", False), ("complete", False), ("average", False),
+                 ("average", True)]
+
+
+def merge_bits(d):
+    return [(s.left, s.right, s.height.hex(), s.new_size) for s in d.merges]
+
+
+def symmetric(tri):
+    square = np.triu(np.asarray(tri, dtype=float), 1)
+    return square + square.T
+
+
+class TestBuildAgainstDictOracle:
+    """The nearest-neighbour-cache build must reproduce the original dict
+    scan bit for bit (merge ids, sizes, height bits) under all four
+    configurations, size_weighted included."""
+
+    def check(self, matrix):
+        for linkage, size_weighted in BUILD_CONFIGS:
+            got = build_dendrogram(matrix, linkage, size_weighted)
+            expect = dict_build_oracle(matrix, linkage, size_weighted)
+            assert merge_bits(got) == merge_bits(expect), (linkage, size_weighted)
+
+    @pytest.mark.parametrize("low,high", [(1, 4), (1, 2), (1, 1)])
+    def test_tie_heavy_integer_matrices(self, low, high):
+        rng = np.random.default_rng(900 + high)
+        for n in range(2, 41):
+            tri = rng.integers(low, high + 1, size=(n, n))
+            self.check(square_to_matrix(symmetric(tri)))
+
+    def test_float_matrices(self):
+        rng = np.random.default_rng(901)
+        for n in (3, 17, 60, 150, 300):
+            self.check(square_to_matrix(random_square(rng, n)))
+
+    def test_chain_matrices(self):
+        # points on a line: single linkage's nearest partners are merged
+        # away all the time, so most selections go through a stale rescan
+        rng = np.random.default_rng(902)
+        for n in (5, 40, 120):
+            ramp = np.arange(n, dtype=float)
+            for points in (ramp, ramp[::-1], rng.permutation(ramp),
+                           np.cumsum(rng.uniform(0.1, 1.0, n))):
+                self.check(square_to_matrix(np.abs(points[:, None]
+                                                   - points[None, :])))
+
+    def test_noisy_matrix(self, noisy_matrix):
+        self.check(noisy_matrix)
+
+    def test_overflow_to_inf(self):
+        # average heights of huge distances overflow to inf; the dict scan
+        # never merges at inf, and when only inf pairs remain the build
+        # refuses instead of merging at inf
+        rng = np.random.default_rng(903)
+        outcomes = set()
+        for _ in range(40):
+            n = int(rng.integers(3, 12))
+            tri = rng.choice([1.0, 2.0, 1.7e308], size=(n, n), p=[0.3, 0.3, 0.4])
+            m = square_to_matrix(symmetric(tri))
+            for linkage, size_weighted in BUILD_CONFIGS:
+                try:
+                    expect = merge_bits(dict_build_oracle(m, linkage,
+                                                          size_weighted))
+                except TypeError:  # the scan found no pair below inf
+                    with pytest.raises(ValueError, match="overflowed"):
+                        build_dendrogram(m, linkage, size_weighted)
+                    outcomes.add("refused")
+                    continue
+                got = build_dendrogram(m, linkage, size_weighted)
+                assert merge_bits(got) == expect
+                outcomes.add("built")
+        assert outcomes == {"built", "refused"}
+
+    @given(st.integers(min_value=2, max_value=10).flatmap(
+        lambda n: st.lists(st.integers(min_value=0, max_value=3),
+                           min_size=n * (n - 1) // 2,
+                           max_size=n * (n - 1) // 2)))
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_small_integer_matrices(self, condensed):
+        n = int(round((1 + math.sqrt(1 + 8 * len(condensed))) / 2))
+        self.check(DistanceMatrix(n, np.asarray(condensed, dtype=float)))
