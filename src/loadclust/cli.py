@@ -2,8 +2,11 @@
 
 Every command is a pure file-in, file-out transformation plus at most one
 line on stdout; identical flags always produce byte-identical artifacts.
-Invalid flag combinations are rejected with a one-line diagnostic before
-any file is read or any distance is computed.
+Invalid flag combinations and hyperparameter values are rejected with a
+one-line diagnostic and exit status 2 before any file is read or any
+distance is computed: ``cluster`` and ``sweep`` resolve their flags into
+one ``MethodSpec``, which checks the values as it is built. Failures while
+running exit with status 1.
 
 Commands
 --------
@@ -23,7 +26,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import dataclass
 
 from .curves import PER_CURVE, PER_HOUR, RAW, SyntheticSpec, generate_synthetic, \
     normalize_dataset, reshape_readings
@@ -34,9 +36,7 @@ from .evaluation import (MATRIX_METHODS, METHODS, DegenerateClusteringError,
                          load_sweep, save_sweep, sweep, wcbcr)
 from .io import read_curves, read_readings, write_curves
 from .partitional import FitError
-from .results import save_result
-
-COMMANDS = ("ingest", "synth", "cluster", "sweep", "elbow")
+from .results import FitParams, save_result
 
 #: Methods that work on the raw 24-dimensional vectors; they take no
 #: --distance (Euclidean by construction) and no matrix cache flags.
@@ -44,73 +44,25 @@ _VECTOR_METHODS = ("kmeans", "kmeanspp", "gmm")
 
 
 class ConfigError(ValueError):
-    """An invalid flag combination, caught before any computation."""
+    """An invalid flag combination or hyperparameter value, caught before
+    any computation."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved options for one command invocation."""
-
-    command: str
-    input: str | None = None
-    output: str | None = None
-    method: str = "ahc"
-    distance: str | None = None
-    window: int | None = None
-    linkage: str | None = None
-    size_weighted: bool = False
-    k: int | None = None
-    k_min: int | None = None
-    k_max: int | None = None
-    seed: int = 0
-    normalization: str = PER_CURVE
-    save_matrix: str | None = None
-    load_matrix: str | None = None
-    restarts: int = 10
-    max_iterations: int = 300
-    tolerance: float = 1e-6
-    covariance: str = "diagonal"
-    k_true: int = 3
-    per_archetype: int = 10
-    noise: float = 0.0
-    shift: int = 0
-
-    def metric(self) -> MetricConfig | None:
-        if self.method in MATRIX_METHODS:
-            return MetricConfig(self.distance, self.window)
-        return None
-
-    def method_spec(self) -> MethodSpec:
-        return MethodSpec(
-            method=self.method,
-            metric=self.metric(),
-            linkage=self.linkage if self.method == "ahc" else None,
-            size_weighted=self.size_weighted,
-            seed=self.seed,
-            restarts=self.restarts,
-            max_iterations=self.max_iterations,
-            tolerance=self.tolerance,
-            covariance_kind=self.covariance,
-        )
-
-
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    """Validate flag combinations and fill in the defaults they gate.
+def _resolve(args: argparse.Namespace) -> MethodSpec | None:
+    """Validate flag combinations and build the run's MethodSpec.
 
     The combination rules, enforced before anything is computed:
     --linkage and --size-weighted only with ahc; --window only with the dtw
     distance; --distance only for the matrix methods (ahc, kmedoids);
     --covariance only for gmm; the matrix cache flags only for the matrix
-    methods.
+    methods. The hyperparameter values are then checked by MethodSpec
+    itself. Returns None for the commands that fit nothing.
     """
     command = args.command
-    method = getattr(args, "method", "ahc")
-
-    distance = getattr(args, "distance", None)
-    window = getattr(args, "window", None)
-    linkage = getattr(args, "linkage", None)
-    size_weighted = getattr(args, "size_weighted", False)
-    covariance = getattr(args, "covariance", None)
+    if command not in ("cluster", "sweep"):
+        return None
+    method = args.method
+    distance = args.distance
 
     if method in _VECTOR_METHODS:
         if distance is not None:
@@ -118,64 +70,51 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
                 f"--distance only applies to matrix methods "
                 f"({', '.join(MATRIX_METHODS)}); {method} is Euclidean by construction"
             )
-        if getattr(args, "save_matrix", None) or getattr(args, "load_matrix", None):
+        if args.save_matrix or args.load_matrix:
             raise ConfigError(
                 f"--save-matrix/--load-matrix only apply to matrix methods "
                 f"({', '.join(MATRIX_METHODS)}), not {method}"
             )
-    if linkage is not None and method != "ahc":
+    if args.linkage is not None and method != "ahc":
         raise ConfigError(f"--linkage only applies to ahc, not {method}")
-    if size_weighted and method != "ahc":
+    if args.size_weighted and method != "ahc":
         raise ConfigError(f"--size-weighted only applies to ahc, not {method}")
-    if covariance is not None and method != "gmm":
+    if args.covariance is not None and method != "gmm":
         raise ConfigError(f"--covariance only applies to gmm, not {method}")
 
-    resolved_distance = distance
-    if method in MATRIX_METHODS and resolved_distance is None:
-        resolved_distance = "dtw"
-    if window is not None and resolved_distance != "dtw":
+    if method in MATRIX_METHODS and distance is None:
+        distance = "dtw"
+    if args.window is not None and distance != "dtw":
         raise ConfigError(
             f"--window only applies to the dtw distance, not "
-            f"{resolved_distance or 'vector methods'}"
+            f"{distance or 'vector methods'}"
         )
-    resolved_window = window if window is not None else 4
 
-    if command in ("cluster", "sweep"):
-        k = getattr(args, "k", None)
-        k_min = getattr(args, "k_min", None)
-        k_max = getattr(args, "k_max", None)
-        if command == "cluster" and k < 2:
-            raise ConfigError(f"--k must be >= 2, got {k}")
-        if command == "sweep" and not (2 <= k_min <= k_max):
-            raise ConfigError(
-                f"need 2 <= k-min <= k-max, got [{k_min}, {k_max}]"
-            )
+    if command == "cluster" and args.k < 2:
+        raise ConfigError(f"--k must be >= 2, got {args.k}")
+    if command == "sweep" and not (2 <= args.k_min <= args.k_max):
+        raise ConfigError(
+            f"need 2 <= k-min <= k-max, got [{args.k_min}, {args.k_max}]"
+        )
 
-    return RunConfig(
-        command=command,
-        input=getattr(args, "input", None),
-        output=getattr(args, "output", None),
-        method=method,
-        distance=resolved_distance,
-        window=resolved_window,
-        linkage=linkage or ("average" if method == "ahc" else None),
-        size_weighted=size_weighted,
-        k=getattr(args, "k", None),
-        k_min=getattr(args, "k_min", None),
-        k_max=getattr(args, "k_max", None),
-        seed=getattr(args, "seed", 0),
-        normalization=getattr(args, "normalization", PER_CURVE),
-        save_matrix=getattr(args, "save_matrix", None),
-        load_matrix=getattr(args, "load_matrix", None),
-        restarts=getattr(args, "restarts", 10),
-        max_iterations=getattr(args, "max_iterations", 300),
-        tolerance=getattr(args, "tolerance", 1e-6),
-        covariance=covariance or "diagonal",
-        k_true=getattr(args, "k_true", 3),
-        per_archetype=getattr(args, "per_archetype", 10),
-        noise=getattr(args, "noise", 0.0),
-        shift=getattr(args, "shift", 0),
-    )
+    try:
+        metric = None
+        if method in MATRIX_METHODS:
+            window = MetricConfig.window if args.window is None else args.window
+            metric = MetricConfig(distance, window)
+        return MethodSpec(
+            method=method,
+            metric=metric,
+            linkage=args.linkage,
+            size_weighted=args.size_weighted,
+            seed=args.seed,
+            restarts=args.restarts,
+            max_iterations=args.max_iterations,
+            tolerance=args.tolerance,
+            covariance_kind=args.covariance or FitParams.covariance_kind,
+        )
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def _add_clustering_flags(p: argparse.ArgumentParser) -> None:
@@ -188,12 +127,13 @@ def _add_clustering_flags(p: argparse.ArgumentParser) -> None:
                    default=None, help="ahc linkage (default: average)")
     p.add_argument("--size-weighted", action="store_true", dest="size_weighted",
                    help="size-weighted average linkage instead of the two-term mean")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=FitParams.seed)
     p.add_argument("--normalization", choices=(PER_CURVE, PER_HOUR),
                    default=PER_CURVE)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--max-iterations", type=int, default=300, dest="max_iterations")
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--restarts", type=int, default=FitParams.restarts)
+    p.add_argument("--max-iterations", type=int, dest="max_iterations",
+                   default=FitParams.max_iterations)
+    p.add_argument("--tolerance", type=float, default=FitParams.tolerance)
     p.add_argument("--covariance", choices=("diagonal", "full"), default=None,
                    help="gmm covariance structure (default: diagonal)")
     p.add_argument("--save-matrix", default=None, dest="save_matrix",
@@ -240,97 +180,93 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _normalized_dataset(config: RunConfig):
-    dataset, _ = read_curves(config.input)
+def _normalized_dataset(args):
+    dataset, _ = read_curves(args.input)
     if dataset.normalization == RAW:
-        return normalize_dataset(dataset, config.normalization)
-    if dataset.normalization != config.normalization:
+        return normalize_dataset(dataset, args.normalization)
+    if dataset.normalization != args.normalization:
         raise ConfigError(
             f"input is already normalized {dataset.normalization}, "
-            f"which conflicts with --normalization {config.normalization}"
+            f"which conflicts with --normalization {args.normalization}"
         )
     return dataset
 
 
-def _prepare_matrix(config: RunConfig, dataset):
-    """Build, load, and/or persist the pairwise matrix per the cache flags."""
-    metric = config.metric()
-    if config.load_matrix:
-        matrix = load_matrix(config.load_matrix)
+def _prepare_matrix(args, spec: MethodSpec, dataset):
+    """Build, load, and/or persist the pairwise matrix per the cache flags;
+    None for the vector methods, which use no matrix."""
+    if spec.method not in MATRIX_METHODS:
+        return None
+    if args.load_matrix:
+        matrix = load_matrix(args.load_matrix)
         if matrix.n != len(dataset):
             raise ConfigError(
                 f"cached matrix is for {matrix.n} curves, dataset has {len(dataset)}"
             )
-        if matrix.metric != metric:
+        if matrix.metric != spec.metric:
             raise ConfigError(
                 f"cached matrix was built with {matrix.metric.label()}, "
-                f"run asks for {metric.label()}"
+                f"run asks for {spec.metric.label()}"
             )
     else:
-        matrix = pairwise_matrix(dataset, metric)
-    if config.save_matrix:
-        save_matrix(matrix, config.save_matrix)
+        matrix = pairwise_matrix(dataset, spec.metric)
+    if args.save_matrix:
+        save_matrix(matrix, args.save_matrix)
     return matrix
 
 
-def _run_ingest(config: RunConfig) -> int:
-    readings = read_readings(config.input)
+def _run_ingest(args, spec) -> int:
+    readings = read_readings(args.input)
     dataset, dropped = reshape_readings(readings)
-    write_curves(dataset, config.output,
-                 extra={"source": config.input, "dropped_days": dropped})
+    write_curves(dataset, args.output,
+                 extra={"source": args.input, "dropped_days": dropped})
     print(f"curves={len(dataset)} dropped_days={dropped}")
     return 0
 
 
-def _run_synth(config: RunConfig) -> int:
-    spec = SyntheticSpec.default(config.k_true, config.per_archetype,
-                                 config.noise, config.shift)
-    dataset, labels = generate_synthetic(spec, config.seed)
-    write_curves(dataset, config.output, extra={
+def _run_synth(args, spec) -> int:
+    synthetic = SyntheticSpec.default(args.k_true, args.per_archetype,
+                                      args.noise, args.shift)
+    dataset, labels = generate_synthetic(synthetic, args.seed)
+    write_curves(dataset, args.output, extra={
         "labels": [int(a) for a in labels],
-        "seed": config.seed,
+        "seed": args.seed,
         "synthetic": {
-            "k_true": config.k_true,
-            "curves_per_archetype": config.per_archetype,
-            "noise_std": config.noise,
-            "shift_range": config.shift,
+            "k_true": args.k_true,
+            "curves_per_archetype": args.per_archetype,
+            "noise_std": args.noise,
+            "shift_range": args.shift,
         },
     })
-    print(f"curves={len(dataset)} archetypes={config.k_true}")
+    print(f"curves={len(dataset)} archetypes={args.k_true}")
     return 0
 
 
-def _run_cluster(config: RunConfig) -> int:
-    dataset = _normalized_dataset(config)
-    spec = config.method_spec()
-    matrix = None
-    if config.method in MATRIX_METHODS:
-        matrix = _prepare_matrix(config, dataset)
-    result = fit(dataset, spec, config.k, matrix=matrix)
-    save_result(result, config.output,
+def _run_cluster(args, spec: MethodSpec) -> int:
+    dataset = _normalized_dataset(args)
+    matrix = _prepare_matrix(args, spec, dataset)
+    result = fit(dataset, spec, args.k, matrix=matrix)
+    save_result(result, args.output,
                 extra_method_fields={"normalization": dataset.normalization,
-                                     "restarts": config.restarts})
+                                     "restarts": spec.restarts})
     score = wcbcr(result, dataset)
     print(f"wcbcr={score!r}")
     return 0
 
 
-def _run_sweep(config: RunConfig) -> int:
-    dataset = _normalized_dataset(config)
-    spec = config.method_spec()
-    matrix = None
-    if config.method in MATRIX_METHODS:
-        matrix = _prepare_matrix(config, dataset)
-    report = sweep(dataset, spec, config.k_min, config.k_max, matrix=matrix)
-    save_sweep(report, config.output)
+def _run_sweep(args, spec: MethodSpec) -> int:
+    dataset = _normalized_dataset(args)
+    matrix = _prepare_matrix(args, spec, dataset)
+    report = sweep(dataset, spec, args.k_min, args.k_max, matrix=matrix)
+    save_sweep(report, args.output)
     for line in report.diagnostics:
         print(f"warning: {line}", file=sys.stderr)
     print(f"rows={len(report.rows)}")
     return 0
 
 
-def _run_elbow(config: RunConfig) -> int:
-    report = load_sweep(config.input)
+def _run_elbow(args, spec) -> int:
+    report = load_sweep(args.input)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateElbowWarning)
         k = elbow(report)
@@ -349,26 +285,20 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one resolved command; returns the process exit status."""
+def main(argv=None) -> int:
+    """Run one command; returns the process exit status: 2 for a usage or
+    configuration error, caught before any input is read, and 1 for a
+    failure while running."""
+    args = build_parser().parse_args(argv)
     try:
-        return _RUNNERS[config.command](config)
+        spec = _resolve(args)
+        return _RUNNERS[args.command](args, spec)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ValueError, FitError, DegenerateClusteringError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        config = _resolve(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    return run(config)
 
 
 if __name__ == "__main__":

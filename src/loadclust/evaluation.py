@@ -25,15 +25,16 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .ahc import LINKAGES, build_dendrogram, cut
 from .distance import (MetricConfig, UnnormalizedDataWarning,
                        paired_distances, pairwise_matrix, stack_curves)
+from .io import json_text, sidecar_path
 from .partitional import FitError, gmm_em, kmeans, kmedoids
-from .results import MEDOID_INDEX, ClusteringResult, FitOptions
+from .results import MEDOID_INDEX, ClusteringResult, FitOptions, FitParams
 
 METHODS = ("ahc", "kmeans", "kmeanspp", "kmedoids", "gmm")
 
@@ -104,25 +105,21 @@ def wcbcr(result: ClusteringResult, dataset) -> float:
 
 
 @dataclass(frozen=True)
-class MethodSpec:
+class MethodSpec(FitParams):
     """One clustering configuration: which method, under which knobs.
 
     ``metric`` and ``linkage`` apply only where they mean something: the
     matrix methods take a metric (default dtw, window 4), ahc alone takes a
     linkage (default average). Vector methods (kmeans, kmeanspp, gmm) are
-    Euclidean by construction and reject an explicit metric.
+    Euclidean by construction and reject an explicit metric. The fit
+    hyperparameters are FitParams' and are checked at construction, for
+    every method.
     """
 
     method: str
     metric: MetricConfig | None = None
     linkage: str | None = None
     size_weighted: bool = False
-    seed: int = 0
-    restarts: int = 10
-    max_iterations: int = 300
-    tolerance: float = 1e-6
-    covariance_regularizer: float = 1e-6
-    covariance_kind: str = "diagonal"
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -139,6 +136,7 @@ class MethodSpec:
                 raise ValueError(f"unknown linkage {self.linkage!r}")
         elif self.linkage is not None:
             raise ValueError("linkage only applies to ahc")
+        super().__post_init__()
 
     def name(self) -> str:
         """Column label in reports, e.g. 'ahc-dtw-average' or 'kmedoids-dtw'."""
@@ -150,15 +148,8 @@ class MethodSpec:
         return self.method
 
     def options(self, k: int) -> FitOptions:
-        return FitOptions(
-            k=k,
-            seed=self.seed,
-            max_iterations=self.max_iterations,
-            tolerance=self.tolerance,
-            covariance_regularizer=self.covariance_regularizer,
-            covariance_kind=self.covariance_kind,
-            restarts=self.restarts,
-        )
+        return FitOptions(k=k, **{f.name: getattr(self, f.name)
+                                  for f in fields(FitParams)})
 
 
 def fit(dataset, spec: MethodSpec, k: int,
@@ -296,10 +287,6 @@ def elbow(report: SweepReport) -> int:
 
 # --- report files -----------------------------------------------------------
 
-def _sidecar(path) -> str:
-    return str(path) + ".json"
-
-
 def save_sweep(report: SweepReport, path) -> None:
     """Write the report as CSV rows `k,wcbcr` plus a JSON metadata sidecar.
 
@@ -330,8 +317,8 @@ def save_sweep(report: SweepReport, path) -> None:
         "elbow_k": elbow_k,
         "diagnostics": list(report.diagnostics),
     }
-    with open(_sidecar(path), "w") as f:
-        f.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    with open(sidecar_path(path), "w") as f:
+        f.write(json_text(meta))
 
 
 def load_sweep(path) -> SweepReport:
@@ -358,7 +345,7 @@ def load_sweep(path) -> SweepReport:
     spec = MethodSpec("ahc")
     diagnostics = ()
     try:
-        with open(_sidecar(path)) as f:
+        with open(sidecar_path(path)) as f:
             meta = json.load(f)
         metric = None
         if meta["method"] in MATRIX_METHODS:

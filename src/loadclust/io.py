@@ -65,8 +65,24 @@ def write_readings(readings, path) -> None:
             w.writerow([r.household_id, r.date.isoformat(), r.hour, repr(r.kwh)])
 
 
-def _manifest_path(path) -> str:
+def sidecar_path(path) -> str:
+    """Where the JSON sidecar of an artifact at ``path`` lives."""
     return str(path) + ".json"
+
+
+def json_text(doc) -> str:
+    """Canonical JSON: sorted keys, indent 2, a trailing newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def with_extra(doc: dict, extra: dict | None, what: str) -> dict:
+    """``doc`` with the ``extra`` entries merged in, none of which may
+    shadow a key ``doc`` already has; ``what`` names them in the error."""
+    for key, value in (extra or {}).items():
+        if key in doc:
+            raise ValueError(f"extra {what} {key!r} shadows a built-in key")
+        doc[key] = value
+    return doc
 
 
 def write_curves(dataset: Dataset, path, extra: dict | None = None) -> None:
@@ -76,16 +92,12 @@ def write_curves(dataset: Dataset, path, extra: dict | None = None) -> None:
     resolved run configs, drop counts, and the like); they must be
     JSON-serializable and may not shadow the manifest's own keys.
     """
-    manifest = {
+    manifest = with_extra({
         "kind": "curves",
         "n_curves": len(dataset),
         "normalization": dataset.normalization,
         "degenerate": [i for i, c in enumerate(dataset) if c.degenerate],
-    }
-    for key, value in (extra or {}).items():
-        if key in manifest:
-            raise ValueError(f"extra manifest key {key!r} shadows a built-in key")
-        manifest[key] = value
+    }, extra, "manifest key")
 
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
@@ -93,8 +105,8 @@ def write_curves(dataset: Dataset, path, extra: dict | None = None) -> None:
         for c in dataset:
             w.writerow([c.household_id, c.date.isoformat()]
                        + [repr(v) for v in c.values])
-    with open(_manifest_path(path), "w") as f:
-        f.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    with open(sidecar_path(path), "w") as f:
+        f.write(json_text(manifest))
 
 
 def read_curves(path) -> tuple[Dataset, dict]:
@@ -104,10 +116,10 @@ def read_curves(path) -> tuple[Dataset, dict]:
     then taken as raw with no degenerate rows.
     """
     try:
-        with open(_manifest_path(path)) as f:
+        with open(sidecar_path(path)) as f:
             manifest = json.load(f)
         if manifest.get("kind") != "curves":
-            raise ValueError(f"{_manifest_path(path)}: not a curves manifest")
+            raise ValueError(f"{sidecar_path(path)}: not a curves manifest")
     except FileNotFoundError:
         manifest = {"kind": "curves", "normalization": "raw", "degenerate": []}
 

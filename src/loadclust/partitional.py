@@ -34,13 +34,18 @@ class FitError(RuntimeError):
     """A fit could not produce a usable model on any restart."""
 
 
-def _checked_matrix(dataset) -> np.ndarray:
+def _checked_matrix(dataset, k: int) -> np.ndarray:
+    """The dataset as an (n, 24) array, once it is known to be normalized
+    and to hold at least ``k`` curves."""
     if getattr(dataset, "normalization", None) == "raw":
         raise ValueError(
             "partitional methods require a normalized dataset; "
             "call normalize_dataset first"
         )
-    return dataset.to_matrix()
+    X = dataset.to_matrix()
+    if k > len(X):
+        raise ValueError(f"k={k} exceeds dataset size {len(X)}")
+    return X
 
 
 def _repair_empty(labels: np.ndarray, k: int, point_cost: np.ndarray) -> np.ndarray:
@@ -143,10 +148,7 @@ def kmeans(dataset, options: FitOptions, init: str = "random") -> ClusteringResu
     """
     if init not in INITS:
         raise ValueError(f"init must be one of {INITS}, got {init!r}")
-    X = _checked_matrix(dataset)
-    n = len(X)
-    if options.k > n:
-        raise ValueError(f"k={options.k} exceeds dataset size {n}")
+    X = _checked_matrix(dataset, options.k)
 
     best = None
     for r in range(options.restarts):
@@ -230,10 +232,7 @@ def kmedoids(dataset, options: FitOptions,
     vectors again, which is what makes a non-Euclidean metric affordable
     here. Prototypes are medoid indices into the dataset.
     """
-    X = _checked_matrix(dataset)
-    n = len(X)
-    if options.k > n:
-        raise ValueError(f"k={options.k} exceeds dataset size {n}")
+    n = len(_checked_matrix(dataset, options.k))
     if matrix is None:
         matrix = pairwise_matrix(dataset, metric or MetricConfig())
     elif matrix.n != n:
@@ -297,6 +296,21 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return m + np.log(np.sum(np.exp(a - m[:, None]), axis=1))
 
 
+def _e_step(X, weights, means, covs, kind):
+    """Component log densities, their row log-sum-exp and the average
+    log-likelihood; None when the densities cannot be evaluated or the
+    likelihood is not finite."""
+    try:
+        logp = _log_densities(X, weights, means, covs, kind)
+    except (np.linalg.LinAlgError, ValueError):
+        return None
+    lse = _logsumexp_rows(logp)
+    avg_ll = float(lse.mean())
+    if not math.isfinite(avg_ll):
+        return None
+    return logp, lse, avg_ll
+
+
 def _gmm_init(X, k, seed, options):
     """Moment-match initial parameters from one seeded K-means++ run."""
     labels, centroids, _, _, _ = _kmeans_single(
@@ -334,7 +348,8 @@ def _reinit_collapsed(X, weights, means, covs, kind, reg, collapsed, lse):
 
 
 def _gmm_single(X, k, seed, options):
-    """One EM run. Returns None on numerical failure."""
+    """One EM run. Returns None when the log-likelihood turns non-finite or
+    when the final model leaves a component without a point."""
     n, d = X.shape
     kind = options.covariance_kind
     reg = options.covariance_regularizer
@@ -351,14 +366,10 @@ def _gmm_single(X, k, seed, options):
     final = None
     for _ in range(options.max_iterations):
         iterations += 1
-        try:
-            logp = _log_densities(X, weights, means, covs, kind)
-        except (np.linalg.LinAlgError, ValueError):
+        step = _e_step(X, weights, means, covs, kind)
+        if step is None:
             return None
-        lse = _logsumexp_rows(logp)
-        avg_ll = float(lse.mean())
-        if not math.isfinite(avg_ll):
-            return None
+        logp, lse, avg_ll = step
         resp = np.exp(logp - lse[:, None])
         assignments = np.argmax(logp, axis=1)  # first occurrence: lowest index wins ties
         trace.append(avg_ll)
@@ -373,17 +384,11 @@ def _gmm_single(X, k, seed, options):
             if reinits > 1:
                 # a second collapse means this model will not settle
                 converged = False
-                try:
-                    logp = _log_densities(X, weights, means, covs, kind)
-                except (np.linalg.LinAlgError, ValueError):
+                step = _e_step(X, weights, means, covs, kind)
+                if step is None:
                     return None
-                lse = _logsumexp_rows(logp)
-                avg_ll = float(lse.mean())
-                if not math.isfinite(avg_ll):
-                    return None
+                logp, lse, avg_ll = step
                 assignments = np.argmax(logp, axis=1)
-                if set(int(a) for a in assignments) != set(range(k)):
-                    return None
                 trace.append(avg_ll)
                 final = (weights, means, covs, assignments, avg_ll)
                 break
@@ -412,7 +417,8 @@ def _gmm_single(X, k, seed, options):
 
     weights, means, covs, assignments, avg_ll = final
     if set(int(a) for a in assignments) != set(range(k)):
-        # the iteration budget ran out mid-collapse; no usable model
+        # a second collapse, or the iteration budget running out mid-collapse,
+        # left a component without a point; no usable model
         return None
     return assignments, means, trace, iterations, converged, avg_ll
 
@@ -427,17 +433,15 @@ def gmm_em(dataset, options: FitOptions) -> ClusteringResult:
     perturbation. A component whose weight falls below 1e-8 or that owns no
     argmax point is respawned once on the lowest-density point; if collapse
     recurs the run is kept but marked non-converged. A restart whose
-    log-likelihood turns non-finite is discarded in favor of the next one;
-    if every restart fails, FitError is raised.
+    log-likelihood turns non-finite, or whose final model leaves a
+    component without a point, is discarded in favor of the next one; if
+    every restart fails, FitError is raised.
 
     Assignments are the argmax responsibilities; prototypes are the
     component means; the objective is the final average log-likelihood
     (higher is better, unlike the other methods).
     """
-    X = _checked_matrix(dataset)
-    n = len(X)
-    if options.k > n:
-        raise ValueError(f"k={options.k} exceeds dataset size {n}")
+    X = _checked_matrix(dataset, options.k)
 
     best = None
     for r in range(options.restarts):
@@ -449,7 +453,7 @@ def gmm_em(dataset, options: FitOptions) -> ClusteringResult:
     if best is None:
         raise FitError(
             f"gaussian mixture failed on all {options.restarts} restarts "
-            "(non-finite log-likelihood)"
+            "(non-finite log-likelihood or a component left without a point)"
         )
     assignments, means, trace, iterations, converged, avg_ll = best
     return ClusteringResult(

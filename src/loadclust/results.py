@@ -5,16 +5,22 @@ fits) funnels into one ClusteringResult type so evaluation and the CLI can
 treat methods uniformly. The only method-dependent part is what a prototype
 is: medoid methods point at an actual member curve by index, centroid
 methods carry an explicit 24-point mean vector.
+
+FitParams owns the fit hyperparameters: their fields, defaults and checks.
+FitOptions (one fit at one k) and ``evaluation.MethodSpec`` (a method
+under its knobs) extend it, and the CLI takes its flag defaults from it, so
+a bad value is rejected when either is built, before any data is read.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .curves import HOURS_PER_DAY
 from .distance import MetricConfig
+from .io import json_text, with_extra
 
 #: What ``ClusteringResult.prototypes`` holds.
 MEDOID_INDEX = "medoid-index"
@@ -107,26 +113,24 @@ class ClusteringResult:
         return d
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    """Hyperparameters shared by the partitional fits.
+@dataclass(frozen=True, kw_only=True)
+class FitParams:
+    """The fit hyperparameters, their defaults and their checks, in one place.
 
     ``covariance_regularizer`` and ``covariance_kind`` only matter for the
-    Gaussian mixture; the rest apply to every method. Restart r of a fit
-    seeds its generator with ``seed + r``.
+    Gaussian mixture; the rest apply to every partitional method. Restart r
+    of a fit seeds its generator with ``seed + r``. The fields are
+    keyword-only, so subclasses keep their own fields positional.
     """
 
-    k: int
     seed: int = 0
+    restarts: int = 10
     max_iterations: int = 300
     tolerance: float = 1e-6
     covariance_regularizer: float = 1e-6
     covariance_kind: str = "diagonal"
-    restarts: int = 10
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not (self.tolerance > 0):
@@ -140,6 +144,18 @@ class FitOptions:
             )
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+
+
+@dataclass(frozen=True)
+class FitOptions(FitParams):
+    """The hyperparameters of one partitional fit at one k."""
+
+    k: int
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise ValueError(f"k must be >= 2, got {self.k}")
+        super().__post_init__()
 
 
 def result_to_json(result: ClusteringResult,
@@ -157,13 +173,9 @@ def result_to_json(result: ClusteringResult,
         protos = list(result.prototypes)
     else:
         protos = [list(p) for p in result.prototypes]
-    desc = result.descriptor()
-    for key, value in (extra_method_fields or {}).items():
-        if key in desc:
-            raise ValueError(f"extra method field {key!r} shadows a descriptor key")
-        desc[key] = value
     doc = {
-        "method": desc,
+        "method": with_extra(result.descriptor(), extra_method_fields,
+                             "method field"),
         "k": result.k,
         "seed": result.seed,
         "converged": result.converged,
@@ -172,7 +184,7 @@ def result_to_json(result: ClusteringResult,
         "prototypes": protos,
         "objective": result.objective,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json_text(doc)
 
 
 def save_result(result: ClusteringResult, path,

@@ -209,6 +209,98 @@ def dict_build_oracle(matrix, linkage: str = "average",
     return Dendrogram(n, linkage, tuple(merges), matrix.metric)
 
 
+def gmm_single_oracle(X, k, seed, options):
+    """The original ``_gmm_single``, with the E-step written out twice.
+
+    Kept verbatim as the bitwise reference for the library's EM run: the
+    same None-or-not outcome, trace bits, iteration count, convergence flag
+    and assignments, on clean inputs and on inputs that collapse.
+    """
+    from loadclust.partitional import (_COLLAPSE_WEIGHT, _gmm_init,
+                                       _log_densities, _logsumexp_rows,
+                                       _reinit_collapsed)
+    n, d = X.shape
+    kind = options.covariance_kind
+    reg = options.covariance_regularizer
+    try:
+        weights, means, covs = _gmm_init(X, k, seed, options)
+    except np.linalg.LinAlgError:
+        return None
+
+    trace = []
+    prev_ll = -math.inf
+    converged = False
+    reinits = 0
+    iterations = 0
+    final = None
+    for _ in range(options.max_iterations):
+        iterations += 1
+        try:
+            logp = _log_densities(X, weights, means, covs, kind)
+        except (np.linalg.LinAlgError, ValueError):
+            return None
+        lse = _logsumexp_rows(logp)
+        avg_ll = float(lse.mean())
+        if not math.isfinite(avg_ll):
+            return None
+        resp = np.exp(logp - lse[:, None])
+        assignments = np.argmax(logp, axis=1)  # first occurrence: lowest index wins ties
+        trace.append(avg_ll)
+        final = (weights.copy(), means.copy(), covs.copy(), assignments, avg_ll)
+
+        empty = set(range(k)) - set(int(a) for a in assignments)
+        collapsed = set(np.flatnonzero(weights < _COLLAPSE_WEIGHT)) | empty
+        if collapsed:
+            weights, means, covs = _reinit_collapsed(
+                X, weights, means, covs, kind, reg, collapsed, lse)
+            reinits += 1
+            if reinits > 1:
+                # a second collapse means this model will not settle
+                converged = False
+                try:
+                    logp = _log_densities(X, weights, means, covs, kind)
+                except (np.linalg.LinAlgError, ValueError):
+                    return None
+                lse = _logsumexp_rows(logp)
+                avg_ll = float(lse.mean())
+                if not math.isfinite(avg_ll):
+                    return None
+                assignments = np.argmax(logp, axis=1)
+                if set(int(a) for a in assignments) != set(range(k)):
+                    return None
+                trace.append(avg_ll)
+                final = (weights, means, covs, assignments, avg_ll)
+                break
+            prev_ll = -math.inf
+            continue
+
+        if avg_ll - prev_ll < options.tolerance and prev_ll > -math.inf:
+            converged = True
+            break
+        prev_ll = avg_ll
+
+        # M-step
+        nk = resp.sum(axis=0)
+        weights = nk / n
+        means = (resp.T @ X) / nk[:, None]
+        if kind == "diagonal":
+            covs = np.empty((k, d))
+            for c in range(k):
+                diff = X - means[c]
+                covs[c] = (resp[:, c] @ (diff * diff)) / nk[c] + reg
+        else:
+            covs = np.empty((k, d, d))
+            for c in range(k):
+                diff = X - means[c]
+                covs[c] = (diff.T * resp[:, c]) @ diff / nk[c] + reg * np.eye(d)
+
+    weights, means, covs, assignments, avg_ll = final
+    if set(int(a) for a in assignments) != set(range(k)):
+        # the iteration budget ran out mid-collapse; no usable model
+        return None
+    return assignments, means, trace, iterations, converged, avg_ll
+
+
 def wpgma_pair_weights(children, n, cluster_id):
     """Leaf weights 2^(-depth) inside a merge tree, summing to 1."""
     weights = {}

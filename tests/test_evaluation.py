@@ -191,6 +191,18 @@ class TestMethodSpec:
         with pytest.raises(ValueError, match="unknown linkage"):
             MethodSpec("ahc", linkage="ward")
 
+    @pytest.mark.parametrize("method", ["ahc", "kmeans", "kmedoids", "gmm"])
+    @pytest.mark.parametrize("kw", [
+        dict(max_iterations=0), dict(tolerance=0.0), dict(tolerance=math.nan),
+        dict(covariance_regularizer=0.0), dict(covariance_kind="tied"),
+        dict(restarts=0),
+    ])
+    def test_rejects_bad_hyperparameters_at_construction(self, method, kw):
+        with pytest.raises(ValueError):
+            FitOptions(k=2, **kw)
+        with pytest.raises(ValueError):
+            MethodSpec(method, **kw)
+
     def test_options_plumbing(self):
         spec = MethodSpec("gmm", seed=9, restarts=2, max_iterations=50,
                           tolerance=1e-3, covariance_regularizer=1e-5,

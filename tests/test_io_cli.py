@@ -287,6 +287,24 @@ class TestCliRejections:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("cluster", "--k", "3", "--restarts", "0"),
+        ("cluster", "--k", "3", "--max-iterations", "0"),
+        ("cluster", "--k", "3", "--tolerance", "0"),
+        ("cluster", "--k", "3", "--tolerance", "nan"),
+        ("cluster", "--k", "3", "--method", "ahc", "--restarts", "0"),
+        ("sweep", "--k-min", "2", "--k-max", "4", "--method", "gmm",
+         "--restarts", "-3"),
+    ])
+    def test_bad_hyperparameters_exit_2_before_reading_input(self, tmp_path,
+                                                             argv, capsys):
+        out = tmp_path / "out"
+        rc = run_cli(argv[0], "--input", tmp_path / "absent.csv",
+                     "--output", out, *argv[1:])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_sweep_ranges_exit_2(self, tmp_path, capsys):
         for lo, hi in [(1, 5), (6, 4)]:
             rc = run_cli("sweep", "--input", tmp_path / "absent.csv",

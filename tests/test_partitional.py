@@ -6,10 +6,11 @@ import pytest
 from loadclust import (Dataset, FitError, FitOptions, MetricConfig,
                        SyntheticSpec, generate_synthetic, gmm_em, kmeans,
                        kmedoids, normalize_dataset, pairwise_matrix)
-from loadclust.partitional import (_log_densities, _logsumexp_rows,
-                                   _plusplus_indices, _repair_empty)
+from loadclust.partitional import (_e_step, _gmm_single, _log_densities,
+                                   _logsumexp_rows, _plusplus_indices,
+                                   _repair_empty)
 
-from conftest import best_match_accuracy, embed_1d
+from conftest import best_match_accuracy, embed_1d, gmm_single_oracle
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +223,24 @@ class TestGmmInternals:
                               np.array([np.diag(v) for v in var]), "full")
         assert np.allclose(diag, full, atol=1e-9)
 
+    @pytest.mark.parametrize("kind", ["diagonal", "full"])
+    def test_e_step_rejects_unusable_models(self, kind):
+        X = np.random.default_rng(8).normal(size=(6, 24))
+        weights = np.array([0.5, 0.5])
+        means = X[:2].copy()
+        if kind == "diagonal":
+            covs = np.ones((2, 24))
+            covs[1, 0] = 0.0  # a zero variance: the likelihood is not finite
+        else:
+            covs = np.array([np.eye(24), np.zeros((24, 24))])  # no Cholesky
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert _e_step(X, weights, means, covs, kind) is None
+        covs[1] = np.ones(24) if kind == "diagonal" else np.eye(24)
+        logp, lse, avg_ll = _e_step(X, weights, means, covs, kind)
+        assert np.array_equal(logp, _log_densities(X, weights, means, covs, kind))
+        assert np.array_equal(lse, _logsumexp_rows(logp))
+        assert avg_ll == float(lse.mean())
+
     def test_densities_integrate_to_weights(self):
         # responsibilities from a single row must sum to one
         rng = np.random.default_rng(7)
@@ -277,3 +296,59 @@ class TestGmm:
         ds, _ = generate_synthetic(SyntheticSpec.default(2, 3), seed=0)
         with pytest.raises(ValueError, match="normalized"):
             gmm_em(ds, FitOptions(k=2))
+
+
+def collapsing_dataset():
+    """Four curves, two per archetype: at k=3 every EM restart collapses
+    twice and ends with a component that owns no point."""
+    raw, _ = generate_synthetic(SyntheticSpec.default(2, 2), 0)
+    return normalize_dataset(raw)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "full"])
+class TestGmmCollapse:
+    def test_collapse_on_every_restart_raises(self, kind):
+        with pytest.raises(FitError, match="without a point"):
+            gmm_em(collapsing_dataset(),
+                   FitOptions(k=3, seed=0, restarts=2, covariance_kind=kind))
+
+    def assert_same_run(self, X, k, seed, options):
+        got = _gmm_single(X, k, seed, options)
+        want = gmm_single_oracle(X, k, seed, options)
+        assert (got is None) == (want is None)
+        if want is None:
+            return
+        assignments, means, trace, iterations, converged, avg_ll = got
+        assert [t.hex() for t in trace] == [t.hex() for t in want[2]]
+        assert (iterations, converged) == (want[3], want[4])
+        assert np.array_equal(assignments, want[0])
+        assert means.tobytes() == want[1].tobytes()
+        assert avg_ll.hex() == want[5].hex()
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 300])
+    def test_collapsing_runs_match_oracle(self, kind, max_iterations):
+        X = collapsing_dataset().to_matrix()
+        options = FitOptions(k=3, covariance_kind=kind,
+                             max_iterations=max_iterations)
+        for seed in range(4):
+            self.assert_same_run(X, 3, seed, options)
+
+    def test_usable_second_collapse_matches_oracle(self, kind):
+        # four curves within 1e-6 of one point: every run collapses twice,
+        # and here the respawned model still gives each of the two
+        # components a point, so the run is kept as non-converged
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(1, 24)) + 1e-6 * rng.normal(size=(4, 24))
+        options = FitOptions(k=2, covariance_kind=kind)
+        for seed in range(3):
+            self.assert_same_run(X, 2, seed, options)
+        run = _gmm_single(X, 2, 0, options)
+        assert run is not None and not run[4]
+
+    def test_clean_runs_match_oracle(self, kind, harder_dataset):
+        X = harder_dataset[0].to_matrix()
+        for k in (2, 3, 5):
+            options = FitOptions(k=k, covariance_kind=kind, tolerance=1e-9,
+                                 covariance_regularizer=1e-4)
+            for seed in range(2):
+                self.assert_same_run(X, k, seed, options)
