@@ -13,8 +13,7 @@ artifacts serialize floats in shortest round-trip form, and repeated runs
 produce byte-identical files.
 """
 
-from .ahc import (Dendrogram, MergeStep, build_dendrogram, cut,
-                  load_dendrogram, save_dendrogram)
+from .ahc import Dendrogram, MergeStep, build_dendrogram, cut
 from .curves import (Dataset, LoadCurve, RawReading, SyntheticSpec,
                      default_archetypes, generate_synthetic,
                      normalize_dataset, reshape_readings, z_normalize)
@@ -58,7 +57,6 @@ __all__ = [
     "gmm_em",
     "kmeans",
     "kmedoids",
-    "load_dendrogram",
     "load_matrix",
     "load_result",
     "load_sweep",
@@ -68,7 +66,6 @@ __all__ = [
     "prototypes",
     "reshape_readings",
     "result_to_json",
-    "save_dendrogram",
     "save_matrix",
     "save_result",
     "save_sweep",

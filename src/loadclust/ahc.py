@@ -291,48 +291,3 @@ def cut(dendrogram: Dendrogram, k: int, matrix: DistanceMatrix) -> ClusteringRes
         linkage=dendrogram.linkage,
     )
 
-
-def save_dendrogram(dendrogram: Dendrogram, path) -> None:
-    """CSV dump, one merge per row: step,left,right,height,new_size."""
-    with open(path, "w") as f:
-        f.write(f"# n_leaves={dendrogram.n_leaves}"
-                f" linkage={dendrogram.linkage}"
-                f" metric={dendrogram.metric.kind}"
-                f" window={dendrogram.metric.window}\n")
-        f.write("step,left,right,height,new_size\n")
-        for t, s in enumerate(dendrogram.merges):
-            f.write(f"{t},{s.left},{s.right},{repr(s.height)},{s.new_size}\n")
-
-
-def load_dendrogram(path) -> Dendrogram:
-    """Read a ``save_dendrogram`` file. A malformed metadata line or merge
-    row raises ValueError prefixed with ``path:line:``."""
-    with open(path) as f:
-        meta = f.readline()
-        if not meta.startswith("#"):
-            raise ValueError(f"{path} is missing its metadata line")
-        try:
-            fields = dict(tok.split("=", 1) for tok in meta[1:].split())
-            n_leaves = int(fields["n_leaves"])
-            linkage = fields["linkage"]
-            cfg = MetricConfig(fields["metric"], int(fields["window"]))
-        except KeyError as e:
-            raise ValueError(f"{path}:1: metadata line lacks {e}") from None
-        except ValueError as e:
-            raise ValueError(f"{path}:1: bad metadata line: {e}") from None
-        header = f.readline().strip()
-        if header != "step,left,right,height,new_size":
-            raise ValueError(f"unexpected dendrogram header {header!r}")
-        merges = []
-        for lineno, line in enumerate(f, start=3):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                _, left, right, height, size = line.split(",")
-                merges.append(MergeStep(int(left), int(right),
-                                        float(height), int(size)))
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: bad merge row {line!r}: {e}"
-                                 ) from None
-    return Dendrogram(n_leaves, linkage, tuple(merges), cfg)

@@ -29,6 +29,9 @@ PER_HOUR = "per-hour"
 
 _NORMALIZATIONS = (RAW, PER_CURVE, PER_HOUR)
 
+#: A curve (or hour column) whose population std is below this is flat.
+_FLAT_STD = 1e-12
+
 
 @dataclass(frozen=True)
 class LoadCurve:
@@ -125,39 +128,43 @@ class RawReading:
         object.__setattr__(self, "kwh", kwh)
 
 
-def z_normalize(curve: LoadCurve, epsilon: float = 1e-12) -> LoadCurve:
+def _zscore(m: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Population z-scores of ``m`` along ``axis``, plus the flat mask.
+
+    A slice is flat when its population std (ddof=0) is below
+    ``_FLAT_STD``; its scores are all zeros. The mask has ``axis`` removed.
+    """
+    mean = m.mean(axis=axis, keepdims=True)
+    std = m.std(axis=axis, keepdims=True)
+    flat = std < _FLAT_STD
+    z = (m - mean) / np.where(flat, 1.0, std)
+    z[np.broadcast_to(flat, z.shape)] = 0.0
+    return z, flat.squeeze(axis)
+
+
+def z_normalize(curve: LoadCurve) -> LoadCurve:
     """Z-normalize one curve: subtract the mean, divide by the std.
 
     Uses the *population* standard deviation (divide by 24, not 23); a fixed
     length-24 signal is treated as the whole population, not a sample. When
-    the std falls below ``epsilon`` the curve is flat: it is mapped to all
-    zeros and flagged degenerate rather than rejected.
+    the std falls below ``_FLAT_STD`` (1e-12) the curve is flat: it is
+    mapped to all zeros and flagged degenerate rather than rejected.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     if curve.normalized:
         raise ValueError("curve is already normalized")
-    vals = np.asarray(curve.values, dtype=float)
-    mean = float(vals.mean())
-    std = float(vals.std())  # ddof=0, population std
-    if std < epsilon:
-        zeros = (0.0,) * HOURS_PER_DAY
-        return LoadCurve(zeros, curve.household_id, curve.date,
-                         normalized=True, degenerate=True)
-    z = (vals - mean) / std
-    return LoadCurve(tuple(float(v) for v in z), curve.household_id, curve.date,
-                     normalized=True, degenerate=False)
+    z, flat = _zscore(curve.as_array(), 0)
+    return LoadCurve(z.tolist(), curve.household_id, curve.date,
+                     normalized=True, degenerate=bool(flat))
 
 
-def normalize_dataset(dataset: Dataset, mode: str = PER_CURVE,
-                      epsilon: float = 1e-12) -> Dataset:
+def normalize_dataset(dataset: Dataset, mode: str = PER_CURVE) -> Dataset:
     """Normalize a raw dataset, either per curve or per hour column.
 
     ``per-curve`` z-scores each curve independently (the right precondition
-    for shape-based distances). ``per-hour`` z-scores each hour index across
-    all curves, which preserves within-day magnitude structure; a
-    zero-variance hour column maps to zeros without flagging any curve
-    degenerate.
+    for shape-based distances), exactly as ``z_normalize`` does. ``per-hour``
+    z-scores each hour index across all curves, which preserves within-day
+    magnitude structure; a zero-variance hour column maps to zeros without
+    flagging any curve degenerate.
     """
     if mode not in (PER_CURVE, PER_HOUR):
         raise ValueError(f"unknown normalization mode {mode!r}")
@@ -166,23 +173,14 @@ def normalize_dataset(dataset: Dataset, mode: str = PER_CURVE,
     if len(dataset) == 0:
         raise ValueError("cannot normalize an empty dataset")
 
-    if mode == PER_CURVE:
-        curves = tuple(z_normalize(c, epsilon) for c in dataset)
-        return Dataset(curves, PER_CURVE)
-
-    m = dataset.to_matrix()
-    mean = m.mean(axis=0)
-    std = m.std(axis=0)  # population std per hour column
-    flat = std < epsilon
-    safe = np.where(flat, 1.0, std)
-    z = (m - mean) / safe
-    z[:, flat] = 0.0
+    per_curve = mode == PER_CURVE
+    z, flat = _zscore(dataset.to_matrix(), 1 if per_curve else 0)
     curves = tuple(
-        LoadCurve(tuple(float(v) for v in row), c.household_id, c.date,
-                  normalized=True, degenerate=False)
-        for row, c in zip(z, dataset)
+        LoadCurve(row, c.household_id, c.date, normalized=True,
+                  degenerate=per_curve and bool(flat[i]))
+        for i, (row, c) in enumerate(zip(z.tolist(), dataset))
     )
-    return Dataset(curves, PER_HOUR)
+    return Dataset(curves, mode)
 
 
 def reshape_readings(readings) -> tuple[Dataset, int]:

@@ -52,22 +52,22 @@ def _repair_empty(labels: np.ndarray, k: int, point_cost: np.ndarray) -> np.ndar
     """Give every empty cluster one member.
 
     For each empty label (ascending) the point with the largest current
-    cost (distance to its own center, ties to the lowest index) is
-    reassigned to it. Each point moves at most once per repair pass, so two
-    empty clusters cannot fight over the same point.
+    cost (distance to its own center, ties to the lowest index) among the
+    members of clusters that still hold at least two is reassigned to it.
+    So no donation empties a cluster, and a moved point, now alone in its
+    cluster, never moves twice. While a cluster is empty some other one
+    holds at least two points, because k <= n.
     """
     present = np.bincount(labels, minlength=k)
     if np.all(present > 0):
         return labels
     labels = labels.copy()
-    cost = point_cost.astype(float).copy()
-    for c in range(k):
-        if present[c] > 0:
-            continue
-        donor = int(np.argmax(cost))
+    for c in np.flatnonzero(present == 0):
+        donors = np.flatnonzero(present[labels] >= 2)
+        donor = donors[np.argmax(point_cost[donors])]
+        present[labels[donor]] -= 1
         labels[donor] = c
         present[c] = 1
-        cost[donor] = -np.inf
     return labels
 
 
@@ -142,9 +142,9 @@ def kmeans(dataset, options: FitOptions, init: str = "random") -> ClusteringResu
     ``init`` is either "random" (k distinct curve indices as the starting
     centroids) or "plusplus" (D²-weighted seeding). Empty clusters are
     repaired each iteration by donating the point currently farthest from
-    its centroid, which keeps the per-iteration objective non-increasing:
-    the donated point's cost can only drop once its new cluster's centroid
-    is recomputed onto it.
+    its centroid among clusters of two or more, which keeps the
+    per-iteration objective non-increasing: the donated point's cost can
+    only drop once its new cluster's centroid is recomputed onto it.
     """
     if init not in INITS:
         raise ValueError(f"init must be one of {INITS}, got {init!r}")

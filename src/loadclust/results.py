@@ -131,6 +131,8 @@ class FitParams:
     covariance_kind: str = "diagonal"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not (self.tolerance > 0):

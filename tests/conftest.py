@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from loadclust import Dataset, LoadCurve
+from loadclust.curves import HOURS_PER_DAY
 
 
 def make_curve(values, hid="h", day=Date(2024, 1, 1), **kw) -> LoadCurve:
@@ -334,6 +335,46 @@ def square_to_matrix(square, metric=None):
     n = len(square)
     vec = square[np.triu_indices(n, 1)]
     return DistanceMatrix(n, vec, metric or MetricConfig("euclidean"))
+
+
+# --- normalization oracles ----------------------------------------------------
+
+def z_normalize_oracle(curve: LoadCurve, epsilon: float = 1e-12) -> LoadCurve:
+    """Per-curve z-normalization as first written, one curve at a time with
+    Python-float mean and std, kept verbatim as the reference for
+    ``curves._zscore``."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if curve.normalized:
+        raise ValueError("curve is already normalized")
+    vals = np.asarray(curve.values, dtype=float)
+    mean = float(vals.mean())
+    std = float(vals.std())  # ddof=0, population std
+    if std < epsilon:
+        zeros = (0.0,) * HOURS_PER_DAY
+        return LoadCurve(zeros, curve.household_id, curve.date,
+                         normalized=True, degenerate=True)
+    z = (vals - mean) / std
+    return LoadCurve(tuple(float(v) for v in z), curve.household_id, curve.date,
+                     normalized=True, degenerate=False)
+
+
+def per_hour_oracle(dataset: Dataset, epsilon: float = 1e-12) -> Dataset:
+    """Per-hour normalization as first written in ``normalize_dataset``,
+    kept verbatim as the reference for ``curves._zscore``."""
+    m = dataset.to_matrix()
+    mean = m.mean(axis=0)
+    std = m.std(axis=0)  # population std per hour column
+    flat = std < epsilon
+    safe = np.where(flat, 1.0, std)
+    z = (m - mean) / safe
+    z[:, flat] = 0.0
+    curves = tuple(
+        LoadCurve(tuple(float(v) for v in row), c.household_id, c.date,
+                  normalized=True, degenerate=False)
+        for row, c in zip(z, dataset)
+    )
+    return Dataset(curves, "per-hour")
 
 
 # --- canonical datasets --------------------------------------------------------

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from loadclust import (Dendrogram, DistanceMatrix, MergeStep, MetricConfig,
-                       build_dendrogram, cut, load_dendrogram, save_dendrogram)
+                       build_dendrogram, cut)
 from loadclust.ahc import LINKAGES
 
 from conftest import (dict_build_oracle, embed_1d, linkage_oracle,
@@ -400,48 +399,6 @@ class TestCutAgainstOracle:
         for size in range(1, 10):
             members = list(range(size))
             assert tied.medoid(members) == medoid_oracle(tied, members)
-
-
-class TestDendrogramFiles:
-    def test_round_trip_and_byte_stability(self, tmp_path, noisy_matrix):
-        d = build_dendrogram(noisy_matrix, "average")
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_dendrogram(d, p1)
-        loaded = load_dendrogram(p1)
-        assert loaded == d
-        save_dendrogram(loaded, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_missing_header_rejected(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("step,left,right,height,new_size\n")
-        with pytest.raises(ValueError, match="metadata"):
-            load_dendrogram(p)
-
-    def test_malformed_merge_row_names_its_line(self, tmp_path, noisy_matrix):
-        good = tmp_path / "good.csv"
-        save_dendrogram(build_dendrogram(noisy_matrix, "average"), good)
-        lines = good.read_text().splitlines(keepends=True)
-        p = tmp_path / "bad.csv"
-        where = re.escape(str(p))
-        for bad_row in ("2,5,7\n", "2,5,seven,0.5,3\n", "2,5,7,nan,3\n"):
-            p.write_text("".join(lines[:4] + [bad_row] + lines[5:]))
-            with pytest.raises(ValueError, match=f"^{where}:5: bad merge row"):
-                load_dendrogram(p)
-
-    def test_incomplete_metadata_names_its_line(self, tmp_path):
-        rows = "step,left,right,height,new_size\n0,0,1,1.0,2\n"
-        p = tmp_path / "bad.csv"
-        where = re.escape(str(p))
-        for meta, missing in (("n_leaves=2 linkage=single window=1", "metric"),
-                              ("n_leaves=2 linkage=single metric=dtw",
-                               "window")):
-            p.write_text(f"# {meta}\n{rows}")
-            with pytest.raises(ValueError, match=f"^{where}:1: .*{missing}"):
-                load_dendrogram(p)
-        p.write_text(f"# n_leaves=2 linkage=single metric=dtw window=w\n{rows}")
-        with pytest.raises(ValueError, match=f"^{where}:1: bad metadata"):
-            load_dendrogram(p)
 
 
 BUILD_CONFIGS = [("single", False), ("complete", False), ("average", False),

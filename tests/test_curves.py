@@ -12,7 +12,7 @@ from loadclust import (Dataset, LoadCurve, MetricConfig, RawReading,
                        z_normalize)
 from loadclust.curves import ARCHETYPE_ORDER, HOURS_PER_DAY, PER_HOUR
 
-from conftest import make_curve
+from conftest import make_curve, per_hour_oracle, z_normalize_oracle
 
 
 finite_curve = st.lists(
@@ -96,9 +96,48 @@ class TestZNormalize:
         with pytest.raises(ValueError, match="already normalized"):
             z_normalize(z)
 
-    def test_bad_epsilon(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            z_normalize(make_curve(range(24)), epsilon=0.0)
+
+def curve_bits(curve):
+    return [v.hex() for v in curve.values], curve.degenerate
+
+
+class TestZScoreAgainstOracles:
+    """One ``_zscore`` serves ``z_normalize`` and both dataset modes; each
+    must give the bits and degenerate flags of the code it replaced."""
+
+    def check(self, rows):
+        ds = Dataset(tuple(make_curve(r, hid=f"h{i}")
+                           for i, r in enumerate(rows)))
+        expect = [curve_bits(z_normalize_oracle(c)) for c in ds]
+        assert [curve_bits(z_normalize(c)) for c in ds] == expect
+        assert [curve_bits(c) for c in normalize_dataset(ds)] == expect
+        assert ([curve_bits(c) for c in normalize_dataset(ds, PER_HOUR)]
+                == [curve_bits(c) for c in per_hour_oracle(ds)])
+
+    @given(st.lists(finite_curve, min_size=1, max_size=8))
+    @settings(derandomize=True, max_examples=100)
+    def test_hypothesis_curves(self, rows):
+        self.check(rows)
+
+    def test_flat_and_near_flat(self):
+        self.check([[7.5] * 24, [1.0 + 1e-14] + [1.0] * 23, [0.0] * 24,
+                    list(range(24)), [1.0 + 1e-10] + [1.0] * 23])
+
+    def test_extreme_magnitudes(self):
+        rng = np.random.default_rng(5)
+        rows = rng.uniform(0.0, 1.0, size=(6, 24))
+        # squared deviations overflow at 1e300: the std is inf in both codes
+        with np.errstate(over="ignore"):
+            for scale in (1e-300, 1e300):
+                self.check(rows * scale)
+            mixed = np.array([1e-300, 1e-5, 1.0, 1e5, 1e150, 1e300])
+            self.check(rows * mixed[:, None])
+
+    def test_flat_hour_column(self):
+        rows = np.random.default_rng(3).uniform(0.0, 5.0, size=(6, 24))
+        rows[:, 0] = 3.0
+        rows[:, 5] = 1e-300
+        self.check(rows)
 
 
 class TestDataset:

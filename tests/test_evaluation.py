@@ -195,7 +195,7 @@ class TestMethodSpec:
     @pytest.mark.parametrize("kw", [
         dict(max_iterations=0), dict(tolerance=0.0), dict(tolerance=math.nan),
         dict(covariance_regularizer=0.0), dict(covariance_kind="tied"),
-        dict(restarts=0),
+        dict(restarts=0), dict(seed=-1),
     ])
     def test_rejects_bad_hyperparameters_at_construction(self, method, kw):
         with pytest.raises(ValueError):

@@ -295,6 +295,8 @@ class TestCliRejections:
         ("cluster", "--k", "3", "--method", "ahc", "--restarts", "0"),
         ("sweep", "--k-min", "2", "--k-max", "4", "--method", "gmm",
          "--restarts", "-3"),
+        ("cluster", "--k", "3", "--method", "kmeans", "--seed", "-1"),
+        ("cluster", "--k", "3", "--method", "ahc", "--seed", "-1"),
     ])
     def test_bad_hyperparameters_exit_2_before_reading_input(self, tmp_path,
                                                              argv, capsys):

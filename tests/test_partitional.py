@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from loadclust.partitional import (_e_step, _gmm_single, _log_densities,
                                    _logsumexp_rows, _plusplus_indices,
                                    _repair_empty)
 
-from conftest import best_match_accuracy, embed_1d, gmm_single_oracle
+from conftest import (best_match_accuracy, embed_1d, gmm_single_oracle,
+                      make_curve)
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +40,28 @@ class TestRepairEmpty:
         labels = np.array([0, 0, 1, 1])
         cost = np.array([5.0, 1.0, 1.0, 0.5])
         out = _repair_empty(labels, 4, cost)
-        # ascending empty labels; ties in cost go to the lowest index
-        assert out.tolist() == [2, 3, 1, 1]
+        # ascending empty labels; point 1 is cluster 0's last member after
+        # the first donation, so cluster 1's costlier point goes instead
+        assert out.tolist() == [2, 0, 3, 1]
+
+    def test_never_empties_a_singleton(self):
+        # zero costs tie everywhere: the lowest index of a cluster that can
+        # spare a member donates, never cluster 0's only member
+        out = _repair_empty(np.array([0, 1, 1]), 3, np.zeros(3))
+        assert out.tolist() == [0, 2, 1]
+
+    def test_kmeans_on_duplicates_keeps_every_cluster(self):
+        # one curve plus three copies of another: whichever three curves
+        # the random init takes, k=3 leaves a cluster empty at first
+        a, b = np.random.default_rng(4).normal(size=(2, 24))
+        ds = normalize_dataset(Dataset(tuple(
+            make_curve(v, hid=f"h{i}") for i, v in enumerate([a, b, b, b]))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(10):
+                r = kmeans(ds, FitOptions(k=3, seed=seed, restarts=1),
+                           init="random")
+                assert sorted(set(r.assignments)) == [0, 1, 2]
 
     def test_every_cluster_ends_populated(self):
         rng = np.random.default_rng(0)
