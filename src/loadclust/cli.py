@@ -56,9 +56,12 @@ def _resolve(args: argparse.Namespace) -> MethodSpec | None:
     distance; --distance only for the matrix methods (ahc, kmedoids);
     --covariance only for gmm; the matrix cache flags only for the matrix
     methods. The hyperparameter values are then checked by MethodSpec
-    itself. Returns None for the commands that fit nothing.
+    itself. Returns None for the commands that fit nothing; of those only
+    synth takes a value to check, its --seed.
     """
     command = args.command
+    if command == "synth" and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if command not in ("cluster", "sweep"):
         return None
     method = args.method

@@ -375,8 +375,8 @@ def _gmm_single(X, k, seed, options):
         trace.append(avg_ll)
         final = (weights.copy(), means.copy(), covs.copy(), assignments, avg_ll)
 
-        empty = set(range(k)) - set(int(a) for a in assignments)
-        collapsed = set(np.flatnonzero(weights < _COLLAPSE_WEIGHT)) | empty
+        empty = np.bincount(assignments, minlength=k) == 0
+        collapsed = set(np.flatnonzero((weights < _COLLAPSE_WEIGHT) | empty))
         if collapsed:
             weights, means, covs = _reinit_collapsed(
                 X, weights, means, covs, kind, reg, collapsed, lse)
@@ -416,7 +416,7 @@ def _gmm_single(X, k, seed, options):
                 covs[c] = (diff.T * resp[:, c]) @ diff / nk[c] + reg * np.eye(d)
 
     weights, means, covs, assignments, avg_ll = final
-    if set(int(a) for a in assignments) != set(range(k)):
+    if not np.bincount(assignments, minlength=k).all():
         # a second collapse, or the iteration budget running out mid-collapse,
         # left a component without a point; no usable model
         return None

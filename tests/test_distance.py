@@ -1,6 +1,8 @@
 import json
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from loadclust import (Dataset, DistanceMatrix, MetricConfig,
                        UnnormalizedDataWarning, dtw, load_matrix,
@@ -31,6 +34,13 @@ day_curves = st.one_of(
     st.floats(min_value=-3, max_value=3, allow_nan=False).map(lambda v: [v] * 24),
     st.lists(st.floats(min_value=-1e-13, max_value=1e-13), min_size=24,
              max_size=24),
+)
+
+# what a matrix file must carry bit for bit: both zeros, subnormals, the
+# largest finite magnitudes and inf, which DistanceMatrix accepts
+stored_distances = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072e-308, 1e308, math.inf]),
+    st.floats(min_value=0.0, allow_nan=False),
 )
 
 
@@ -401,9 +411,75 @@ class TestMatrixFiles:
     def test_header_contents(self, tmp_path, noisy_matrix):
         p = tmp_path / "m.dmx"
         save_matrix(noisy_matrix, p)
-        header = json.loads(p.read_text().splitlines()[0])
-        assert header == {"kind": "distance-matrix", "n": 30,
-                          "metric": "dtw", "window": 4}
+        header = json.loads(p.read_bytes().split(b"\n", 1)[0])
+        assert header == {"encoding": "float64-le", "kind": "distance-matrix",
+                          "n": 30, "metric": "dtw", "window": 4}
+
+    def test_body_is_raw_little_endian_float64(self, tmp_path, noisy_matrix):
+        p = tmp_path / "m.dmx"
+        save_matrix(noisy_matrix, p)
+        body = p.read_bytes().split(b"\n", 1)[1]
+        assert len(body) == 8 * 435
+        assert body == noisy_matrix.condensed.astype("<f8").tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), data=st.data())
+    def test_round_trip_is_exact(self, n, data):
+        pairs = n * (n - 1) // 2
+        vec = data.draw(hnp.arrays(np.float64, pairs, elements=stored_distances))
+        with tempfile.TemporaryDirectory() as tmp:
+            p1, p2 = Path(tmp, "a.dmx"), Path(tmp, "b.dmx")
+            save_matrix(DistanceMatrix(n, vec, MetricConfig("manhattan")), p1)
+            loaded = load_matrix(p1)
+            save_matrix(loaded, p2)
+            assert p1.read_bytes() == p2.read_bytes()
+        assert loaded.n == n and loaded.metric == MetricConfig("manhattan")
+        assert loaded.condensed.tobytes() == vec.tobytes()
+
+    @pytest.mark.parametrize("defect, message", [
+        ("truncated", "holds 3479 bytes, n=30 needs 3480"),
+        ("trailing byte", "holds 3481 bytes, n=30 needs 3480"),
+        ("no encoding", "encoding None.*rebuild it with --save-matrix"),
+        ("text format", "encoding None.*rebuild it with --save-matrix"),
+        ("foreign kind", "not a distance matrix"),
+        ("nan", "not NaN"),
+    ])
+    def test_rejects_damaged_files(self, tmp_path, noisy_matrix, defect,
+                                   message):
+        good = tmp_path / "good.dmx"
+        save_matrix(noisy_matrix, good)
+        line, body = good.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        if defect == "truncated":
+            body = body[:-1]
+        elif defect == "trailing byte":
+            body += b"\n"
+        elif defect == "no encoding":
+            del header["encoding"]
+        elif defect == "text format":
+            # the one-value-per-line layout this format replaced
+            del header["encoding"]
+            body = "".join(repr(float(v)) + "\n"
+                           for v in noisy_matrix.condensed).encode()
+        elif defect == "foreign kind":
+            header["kind"] = "something-else"
+        else:
+            vec = noisy_matrix.condensed.copy()
+            vec[7] = math.nan
+            body = vec.astype("<f8").tobytes()
+        bad = tmp_path / "bad.dmx"
+        bad.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n"
+                        + body)
+        with pytest.raises(ValueError, match=message) as caught:
+            load_matrix(bad)
+        assert str(bad) in str(caught.value)
+        assert "\n" not in str(caught.value)
+
+    def test_accepts_inf_entries(self, tmp_path):
+        p = tmp_path / "m.dmx"
+        save_matrix(DistanceMatrix(3, [1.0, math.inf, 2.0],
+                                   MetricConfig("dtw", 1)), p)
+        assert load_matrix(p).condensed[1] == math.inf
 
     def test_rejects_foreign_file(self, tmp_path):
         p = tmp_path / "x.json"

@@ -1,6 +1,7 @@
 import json
 from datetime import date as Date
 
+import numpy as np
 import pytest
 
 from loadclust import (RawReading, SyntheticSpec, generate_synthetic,
@@ -237,6 +238,31 @@ class TestCliCluster:
         assert cold.read_bytes() == warm.read_bytes()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("damage", ["truncated", "text format"])
+    def test_damaged_cache_exits_1(self, tmp_path, synth_file, damage, capsys):
+        cache = tmp_path / "m.dmx"
+        run_cli("cluster", "--input", synth_file,
+                "--output", tmp_path / "a.json", "--k", 3,
+                "--save-matrix", cache)
+        line, body = cache.read_bytes().split(b"\n", 1)
+        if damage == "truncated":
+            cache.write_bytes(line + b"\n" + body[:-8])
+        else:
+            header = json.loads(line)
+            del header["encoding"]
+            values = np.frombuffer(body, "<f8")
+            cache.write_text(json.dumps(header, sort_keys=True) + "\n"
+                             + "".join(repr(float(v)) + "\n" for v in values))
+        capsys.readouterr()
+        rc = run_cli("cluster", "--input", synth_file,
+                     "--output", tmp_path / "b.json", "--k", 3,
+                     "--load-matrix", cache)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(cache) in err
+        assert not (tmp_path / "b.json").exists()
+
     def test_cache_metric_mismatch_exits_2(self, tmp_path, synth_file, capsys):
         cache = tmp_path / "m.dmx"
         run_cli("cluster", "--input", synth_file,
@@ -305,6 +331,13 @@ class TestCliRejections:
                      "--output", out, *argv[1:])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_synth_negative_seed_exits_2_before_writing(self, tmp_path,
+                                                        capsys):
+        rc = run_cli("synth", "--output", tmp_path / "c.csv", "--seed", "-1")
+        assert rc == 2
+        assert "--seed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_sweep_ranges_exit_2(self, tmp_path, capsys):
