@@ -37,14 +37,13 @@ readings += day("office", Date(2024, 3, 4), office, scale=2.5)
 # an incomplete day: the meter went quiet after 17:00
 readings += day("office", Date(2024, 3, 5), office, scale=2.5)[:18]
 
-workdir = Path(tempfile.mkdtemp(prefix="ingest-demo-"))
-raw_path = workdir / "readings.csv"
-write_readings(readings, raw_path)
-print(f"wrote {len(readings)} readings to {raw_path}")
-
 # --- ingest: group by (household, date), keep only complete days ---------------
 
-dataset, dropped = reshape_readings(read_readings(raw_path))
+with tempfile.TemporaryDirectory(prefix="ingest-demo-") as workdir:
+    raw_path = Path(workdir) / "readings.csv"
+    write_readings(readings, raw_path)
+    print(f"wrote {len(readings)} readings to {raw_path}")
+    dataset, dropped = reshape_readings(read_readings(raw_path))
 print(f"daily curves: {len(dataset)}, incomplete days dropped: {dropped}")
 for c in dataset:
     peak = int(np.argmax(c.values))

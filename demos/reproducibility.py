@@ -16,8 +16,6 @@ from loadclust import (MethodSpec, MetricConfig, SyntheticSpec, fit,
                        pairwise_matrix, result_to_json, save_matrix,
                        save_sweep, sweep)
 
-workdir = Path(tempfile.mkdtemp(prefix="repro-demo-"))
-
 
 def fresh_dataset():
     raw, _ = generate_synthetic(
@@ -43,19 +41,21 @@ print()
 
 dataset = fresh_dataset()
 matrix = pairwise_matrix(dataset, MetricConfig("dtw", window=4))
-cache = workdir / "matrix.dmx"
-save_matrix(matrix, cache)
-reloaded = load_matrix(cache)
-same = all(x == y for x, y in zip(matrix.condensed, reloaded.condensed))
-print(f"matrix -> disk -> matrix reproduces every distance exactly: {same}")
+with tempfile.TemporaryDirectory(prefix="repro-demo-") as tmp:
+    workdir = Path(tmp)
+    cache = workdir / "matrix.dmx"
+    save_matrix(matrix, cache)
+    reloaded = load_matrix(cache)
+    same = all(x == y for x, y in zip(matrix.condensed, reloaded.condensed))
+    print(f"matrix -> disk -> matrix reproduces every distance exactly: {same}")
 
-# a sweep fed the cached matrix gives the same bytes as one that computes it
-cold = workdir / "cold.csv"
-warm = workdir / "warm.csv"
-save_sweep(sweep(dataset, MethodSpec("ahc"), 2, 8), cold)
-save_sweep(sweep(dataset, MethodSpec("ahc"), 2, 8, matrix=reloaded), warm)
-print(f"cold sweep == cached-matrix sweep, byte for byte: "
-      f"{cold.read_bytes() == warm.read_bytes()}")
+    # a sweep fed the cached matrix gives the same bytes as one that computes it
+    cold = workdir / "cold.csv"
+    warm = workdir / "warm.csv"
+    save_sweep(sweep(dataset, MethodSpec("ahc"), 2, 8), cold)
+    save_sweep(sweep(dataset, MethodSpec("ahc"), 2, 8, matrix=reloaded), warm)
+    print(f"cold sweep == cached-matrix sweep, byte for byte: "
+          f"{cold.read_bytes() == warm.read_bytes()}")
 print()
 
 # --- why this holds ----------------------------------------------------------------

@@ -109,23 +109,6 @@ class Dendrogram:
     def heights(self) -> np.ndarray:
         return np.asarray([s.height for s in self.merges], dtype=float)
 
-    def members(self, cluster_id: int) -> tuple:
-        """Leaf indices under a cluster id, ascending."""
-        n = self.n_leaves
-        if not (0 <= cluster_id < 2 * n - 1):
-            raise ValueError(f"cluster id {cluster_id} out of range")
-        out = []
-        stack = [cluster_id]
-        while stack:
-            cid = stack.pop()
-            if cid < n:
-                out.append(cid)
-            else:
-                step = self.merges[cid - n]
-                stack.append(step.left)
-                stack.append(step.right)
-        return tuple(sorted(out))
-
 
 def build_dendrogram(matrix: DistanceMatrix, linkage: str = "average",
                      size_weighted: bool = False) -> Dendrogram:

@@ -38,11 +38,6 @@ from .io import read_curves, read_readings, write_curves
 from .partitional import FitError
 from .results import FitParams, save_result
 
-#: Methods that work on the raw 24-dimensional vectors; they take no
-#: --distance (Euclidean by construction) and no matrix cache flags.
-_VECTOR_METHODS = ("kmeans", "kmeanspp", "gmm")
-
-
 class ConfigError(ValueError):
     """An invalid flag combination or hyperparameter value, caught before
     any computation."""
@@ -51,12 +46,12 @@ class ConfigError(ValueError):
 def _resolve(args: argparse.Namespace) -> MethodSpec | None:
     """Validate flag combinations and build the run's MethodSpec.
 
-    The combination rules, enforced before anything is computed:
-    --linkage and --size-weighted only with ahc; --window only with the dtw
-    distance; --distance only for the matrix methods (ahc, kmedoids);
-    --covariance only for gmm; the matrix cache flags only for the matrix
-    methods. The hyperparameter values are then checked by MethodSpec
-    itself. Returns None for the commands that fit nothing; of those only
+    The combination rules, enforced before anything is computed: --window
+    only with the dtw distance; --distance only for the matrix methods (ahc,
+    kmedoids); --covariance only for gmm; the matrix cache flags only for
+    the matrix methods. MethodSpec itself then checks --linkage (ahc only),
+    --size-weighted (ahc average linkage only) and the hyperparameter
+    values. Returns None for the commands that fit nothing; of those only
     synth takes a value to check, its --seed.
     """
     command = args.command
@@ -67,7 +62,7 @@ def _resolve(args: argparse.Namespace) -> MethodSpec | None:
     method = args.method
     distance = args.distance
 
-    if method in _VECTOR_METHODS:
+    if method not in MATRIX_METHODS:
         if distance is not None:
             raise ConfigError(
                 f"--distance only applies to matrix methods "
@@ -78,10 +73,6 @@ def _resolve(args: argparse.Namespace) -> MethodSpec | None:
                 f"--save-matrix/--load-matrix only apply to matrix methods "
                 f"({', '.join(MATRIX_METHODS)}), not {method}"
             )
-    if args.linkage is not None and method != "ahc":
-        raise ConfigError(f"--linkage only applies to ahc, not {method}")
-    if args.size_weighted and method != "ahc":
-        raise ConfigError(f"--size-weighted only applies to ahc, not {method}")
     if args.covariance is not None and method != "gmm":
         raise ConfigError(f"--covariance only applies to gmm, not {method}")
 

@@ -350,18 +350,6 @@ class DistanceMatrix:
             pos += self.n - 1 - i
         return sq
 
-    def medoid(self, members=None) -> int:
-        """Index minimizing the summed distance to the given members.
-
-        ``members`` defaults to everything. Ties go to the lowest index.
-        """
-        idx = range(self.n) if members is None else sorted(set(int(m) for m in members))
-        if not idx:
-            raise ValueError("members must be non-empty")
-        if idx[0] < 0 or idx[-1] >= self.n:
-            raise IndexError(f"index out of range for n={self.n}")
-        return medoid_of(self.to_square(), idx)
-
 
 def medoid_of(square: np.ndarray, members) -> int:
     """The member with the smallest summed distance to the other members.

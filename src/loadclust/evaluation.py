@@ -110,8 +110,9 @@ class MethodSpec(FitParams):
 
     ``metric`` and ``linkage`` apply only where they mean something: the
     matrix methods take a metric (default dtw, window 4), ahc alone takes a
-    linkage (default average). Vector methods (kmeans, kmeanspp, gmm) are
-    Euclidean by construction and reject an explicit metric. The fit
+    linkage (default average), and ``size_weighted`` only with average
+    linkage. Vector methods (kmeans, kmeanspp, gmm) are Euclidean by
+    construction and reject an explicit metric. The fit
     hyperparameters are FitParams' and are checked at construction, for
     every method.
     """
@@ -136,6 +137,8 @@ class MethodSpec(FitParams):
                 raise ValueError(f"unknown linkage {self.linkage!r}")
         elif self.linkage is not None:
             raise ValueError("linkage only applies to ahc")
+        if self.size_weighted and self.linkage != "average":
+            raise ValueError("size_weighted only applies to ahc average linkage")
         super().__post_init__()
 
     def name(self) -> str:

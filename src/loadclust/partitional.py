@@ -4,7 +4,8 @@ Gaussian mixture fit by EM.
 These are the methods the hierarchy is compared against. All of them are
 restarted local searches: ``restarts`` independent runs are fitted with
 generator seeds ``seed, seed+1, ...`` and the run with the best objective
-wins (ties to the earliest restart). Every fit is deterministic for a fixed
+wins (ties to the earliest restart); a mixture restart that degenerates is
+discarded, never repaired. Every fit is deterministic for a fixed
 (dataset, options), down to the bytes of the exported JSON.
 
 The random source everywhere is ``numpy.random.default_rng``, i.e. the PCG64
@@ -331,25 +332,10 @@ def _gmm_init(X, k, seed, options):
     return weights, means, covs
 
 
-def _reinit_collapsed(X, weights, means, covs, kind, reg, collapsed, lse):
-    """Respawn collapsed components on the lowest-density points."""
-    order = np.argsort(lse, kind="stable")
-    global_var = X.var(axis=0) + reg
-    for pos, c in enumerate(sorted(collapsed)):
-        point = X[int(order[pos % len(order)])]
-        means[c] = point
-        if kind == "diagonal":
-            covs[c] = global_var.copy()
-        else:
-            covs[c] = np.diag(global_var)
-        weights[c] = 1.0 / len(weights)
-    weights /= weights.sum()
-    return weights, means, covs
-
-
 def _gmm_single(X, k, seed, options):
     """One EM run. Returns None when the log-likelihood turns non-finite or
-    when the final model leaves a component without a point."""
+    a component collapses: its weight falls below ``_COLLAPSE_WEIGHT`` or it
+    owns no argmax point. Otherwise the means are those of the last E-step."""
     n, d = X.shape
     kind = options.covariance_kind
     reg = options.covariance_regularizer
@@ -361,46 +347,27 @@ def _gmm_single(X, k, seed, options):
     trace = []
     prev_ll = -math.inf
     converged = False
-    reinits = 0
     iterations = 0
-    final = None
     for _ in range(options.max_iterations):
         iterations += 1
         step = _e_step(X, weights, means, covs, kind)
         if step is None:
             return None
         logp, lse, avg_ll = step
-        resp = np.exp(logp - lse[:, None])
         assignments = np.argmax(logp, axis=1)  # first occurrence: lowest index wins ties
         trace.append(avg_ll)
-        final = (weights.copy(), means.copy(), covs.copy(), assignments, avg_ll)
+        if ((weights < _COLLAPSE_WEIGHT).any()
+                or not np.bincount(assignments, minlength=k).all()):
+            return None
+        fitted = means  # the M-step rebinds means, so no copy is needed
 
-        empty = np.bincount(assignments, minlength=k) == 0
-        collapsed = set(np.flatnonzero((weights < _COLLAPSE_WEIGHT) | empty))
-        if collapsed:
-            weights, means, covs = _reinit_collapsed(
-                X, weights, means, covs, kind, reg, collapsed, lse)
-            reinits += 1
-            if reinits > 1:
-                # a second collapse means this model will not settle
-                converged = False
-                step = _e_step(X, weights, means, covs, kind)
-                if step is None:
-                    return None
-                logp, lse, avg_ll = step
-                assignments = np.argmax(logp, axis=1)
-                trace.append(avg_ll)
-                final = (weights, means, covs, assignments, avg_ll)
-                break
-            prev_ll = -math.inf
-            continue
-
-        if avg_ll - prev_ll < options.tolerance and prev_ll > -math.inf:
+        if avg_ll - prev_ll < options.tolerance:
             converged = True
             break
         prev_ll = avg_ll
 
         # M-step
+        resp = np.exp(logp - lse[:, None])
         nk = resp.sum(axis=0)
         weights = nk / n
         means = (resp.T @ X) / nk[:, None]
@@ -415,12 +382,7 @@ def _gmm_single(X, k, seed, options):
                 diff = X - means[c]
                 covs[c] = (diff.T * resp[:, c]) @ diff / nk[c] + reg * np.eye(d)
 
-    weights, means, covs, assignments, avg_ll = final
-    if not np.bincount(assignments, minlength=k).all():
-        # a second collapse, or the iteration budget running out mid-collapse,
-        # left a component without a point; no usable model
-        return None
-    return assignments, means, trace, iterations, converged, avg_ll
+    return assignments, fitted, trace, iterations, converged, avg_ll
 
 
 def gmm_em(dataset, options: FitOptions) -> ClusteringResult:
@@ -430,12 +392,10 @@ def gmm_em(dataset, options: FitOptions) -> ClusteringResult:
     restart. The E-step works in log space with log-sum-exp stabilization;
     every M-step adds ``covariance_regularizer`` to the variances (or the
     covariance diagonal), so the likelihood ascent holds only up to that
-    perturbation. A component whose weight falls below 1e-8 or that owns no
-    argmax point is respawned once on the lowest-density point; if collapse
-    recurs the run is kept but marked non-converged. A restart whose
-    log-likelihood turns non-finite, or whose final model leaves a
-    component without a point, is discarded in favor of the next one; if
-    every restart fails, FitError is raised.
+    perturbation. A restart is discarded when its log-likelihood turns
+    non-finite or a component collapses (its weight falls below 1e-8 or it
+    is left without a point, owning no argmax point); if every restart
+    fails, FitError is raised.
 
     Assignments are the argmax responsibilities; prototypes are the
     component means; the objective is the final average log-likelihood

@@ -210,16 +210,34 @@ def dict_build_oracle(matrix, linkage: str = "average",
     return Dendrogram(n, linkage, tuple(merges), matrix.metric)
 
 
-def gmm_single_oracle(X, k, seed, options):
-    """The original ``_gmm_single``, with the E-step written out twice.
+def _reinit_collapsed(X, weights, means, covs, kind, reg, collapsed, lse):
+    """Respawn collapsed components on the lowest-density points."""
+    order = np.argsort(lse, kind="stable")
+    global_var = X.var(axis=0) + reg
+    for pos, c in enumerate(sorted(collapsed)):
+        point = X[int(order[pos % len(order)])]
+        means[c] = point
+        if kind == "diagonal":
+            covs[c] = global_var.copy()
+        else:
+            covs[c] = np.diag(global_var)
+        weights[c] = 1.0 / len(weights)
+    weights /= weights.sum()
+    return weights, means, covs
 
-    Kept verbatim as the bitwise reference for the library's EM run: the
-    same None-or-not outcome, trace bits, iteration count, convergence flag
-    and assignments, on clean inputs and on inputs that collapse.
+
+def gmm_single_oracle(X, k, seed, options):
+    """The original ``_gmm_single``, with the E-step written out twice and
+    the respawn of collapsed components the library has since dropped.
+
+    Kept verbatim as the bitwise reference for the library's EM run: on a
+    run that never collapses, or that collapses and ends without a usable
+    model, the library must give the same None-or-not outcome, trace bits,
+    iteration count, convergence flag and assignments. Where a respawned
+    run would still end usable, the library discards it instead.
     """
     from loadclust.partitional import (_COLLAPSE_WEIGHT, _gmm_init,
-                                       _log_densities, _logsumexp_rows,
-                                       _reinit_collapsed)
+                                       _log_densities, _logsumexp_rows)
     n, d = X.shape
     kind = options.covariance_kind
     reg = options.covariance_regularizer

@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from loadclust import (Dendrogram, DistanceMatrix, MergeStep, MetricConfig,
                        build_dendrogram, cut)
 from loadclust.ahc import LINKAGES
+from loadclust.distance import medoid_of
 
 from conftest import (dict_build_oracle, embed_1d, linkage_oracle,
                       random_square, square_to_matrix, wpgma_pair_weights)
@@ -63,15 +64,6 @@ class TestDendrogramValidation:
     def test_unknown_linkage(self):
         with pytest.raises(ValueError, match="unknown linkage"):
             Dendrogram(4, "ward", self.good_merges())
-
-    def test_members(self):
-        d = Dendrogram(4, "average", self.good_merges())
-        assert d.members(0) == (0,)
-        assert d.members(4) == (0, 1)
-        assert d.members(5) == (2, 3)
-        assert d.members(6) == (0, 1, 2, 3)
-        with pytest.raises(ValueError, match="out of range"):
-            d.members(7)
 
 
 class TestBuildOnHandExample:
@@ -381,7 +373,8 @@ class TestCutAgainstOracle:
         rng = np.random.default_rng(0)
         for t in range(400):
             m = square_to_matrix(absorbing_square(rng, int(rng.integers(9, 20))))
-            assert m.medoid() == medoid_oracle(m, range(m.n))
+            assert (medoid_of(m.to_square(), range(m.n))
+                    == medoid_oracle(m, range(m.n)))
             if t % 40 == 0:
                 self.check(m)
 
@@ -393,12 +386,13 @@ class TestCutAgainstOracle:
         for _ in range(100):
             members = rng.choice(noisy_matrix.n, size=int(rng.integers(1, 30)),
                                  replace=False).tolist()
-            assert (noisy_matrix.medoid(members)
+            assert (medoid_of(noisy_matrix.to_square(), sorted(members))
                     == medoid_oracle(noisy_matrix, members))
         tied = square_to_matrix(random_square(rng, 9, integer=True))
         for size in range(1, 10):
             members = list(range(size))
-            assert tied.medoid(members) == medoid_oracle(tied, members)
+            assert (medoid_of(tied.to_square(), sorted(members))
+                    == medoid_oracle(tied, members))
 
 
 BUILD_CONFIGS = [("single", False), ("complete", False), ("average", False),

@@ -1,7 +1,8 @@
 """Every demo runs to completion against the package in ``src/``.
 
 Each demo is a separate script, so each runs in its own interpreter with
-temporary files kept under the test's own directory.
+temporary files kept under the test's own directory, which the demo must
+leave clean.
 """
 
 import os
@@ -25,6 +26,8 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    # a demo's scratch directories go when it exits
+    assert list(tmp_path.glob("*-demo-*")) == []
     if demo.name == "reproducibility.py":
         # each check the demo makes prints "<claim>: True" when it holds
         lines = proc.stdout.splitlines()

@@ -17,7 +17,7 @@ from loadclust import (Dataset, DistanceMatrix, MetricConfig,
                        normalize_dataset, pairwise_matrix,
                        pointwise_distance, save_matrix)
 import loadclust.distance as distance
-from loadclust.distance import condensed_index, paired_distances
+from loadclust.distance import condensed_index, medoid_of, paired_distances
 
 from conftest import dtw_oracle, make_curve
 
@@ -283,12 +283,10 @@ class TestDistanceMatrix:
     def test_medoid_lowest_index_on_ties(self):
         # 4 points on a line at 0, 1, 2, 3: both middle points tie
         sq = [[abs(i - j) for j in range(4)] for i in range(4)]
-        m = self.make(sq)
-        assert m.medoid() == 1
-        assert m.medoid([0, 1]) == 0
-        assert m.medoid([2]) == 2
-        with pytest.raises(ValueError, match="non-empty"):
-            m.medoid([])
+        square = self.make(sq).to_square()
+        assert medoid_of(square, [0, 1, 2, 3]) == 1
+        assert medoid_of(square, [0, 1]) == 0
+        assert medoid_of(square, [2]) == 2
 
 
 class TestPairwiseMatrix:

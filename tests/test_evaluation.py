@@ -185,6 +185,13 @@ class TestMethodSpec:
         with pytest.raises(ValueError, match="linkage"):
             MethodSpec("kmedoids", linkage="single")
 
+    def test_size_weighted_only_with_ahc_average(self):
+        # it would change nothing, yet rename the sweep's column
+        with pytest.raises(ValueError, match="size_weighted"):
+            MethodSpec("kmeans", size_weighted=True)
+        with pytest.raises(ValueError, match="size_weighted"):
+            MethodSpec("ahc", linkage="single", size_weighted=True)
+
     def test_unknown_method_and_linkage(self):
         with pytest.raises(ValueError, match="unknown method"):
             MethodSpec("dbscan")

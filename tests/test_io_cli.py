@@ -301,6 +301,7 @@ class TestCliRejections:
         ("--method", "ahc", "--covariance", "full"),
         ("--method", "ahc", "--distance", "euclidean", "--window", "2"),
         ("--k", "1"),
+        ("--method", "ahc", "--linkage", "single", "--size-weighted"),
     ])
     def test_bad_combinations_exit_2_before_reading_input(self, tmp_path,
                                                           flags, capsys):

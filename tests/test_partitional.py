@@ -322,9 +322,19 @@ class TestGmm:
 
 def collapsing_dataset():
     """Four curves, two per archetype: at k=3 every EM restart collapses
-    twice and ends with a component that owns no point."""
+    and ends with a component that owns no point."""
     raw, _ = generate_synthetic(SyntheticSpec.default(2, 2), 0)
     return normalize_dataset(raw)
+
+
+def duplicate_sets():
+    """(curves, archetypes) for 2-4 archetypes with 2-3 exact copies each:
+    a run here either never collapses or, under the old respawn too,
+    collapses and ends without a usable model."""
+    for a in (2, 3, 4):
+        for copies in (2, 3):
+            raw, _ = generate_synthetic(SyntheticSpec.default(a, copies), 0)
+            yield normalize_dataset(raw).to_matrix(), a
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "full"])
@@ -349,23 +359,29 @@ class TestGmmCollapse:
 
     @pytest.mark.parametrize("max_iterations", [1, 2, 300])
     def test_collapsing_runs_match_oracle(self, kind, max_iterations):
-        X = collapsing_dataset().to_matrix()
-        options = FitOptions(k=3, covariance_kind=kind,
-                             max_iterations=max_iterations)
-        for seed in range(4):
-            self.assert_same_run(X, 3, seed, options)
+        for X, a in duplicate_sets():
+            for k in range(2, a + 2):
+                options = FitOptions(k=k, covariance_kind=kind,
+                                     max_iterations=max_iterations)
+                for seed in range(10):
+                    self.assert_same_run(X, k, seed, options)
 
     def test_usable_second_collapse_matches_oracle(self, kind):
         # four curves within 1e-6 of one point: every run collapses twice,
-        # and here the respawned model still gives each of the two
-        # components a point, so the run is kept as non-converged
+        # and the oracle's respawned model still gives each of the two
+        # components a point, so it keeps the run as non-converged; the
+        # library discards every collapsed restart instead
         rng = np.random.default_rng(0)
         X = rng.normal(size=(1, 24)) + 1e-6 * rng.normal(size=(4, 24))
         options = FitOptions(k=2, covariance_kind=kind)
         for seed in range(3):
-            self.assert_same_run(X, 2, seed, options)
-        run = _gmm_single(X, 2, 0, options)
-        assert run is not None and not run[4]
+            assert _gmm_single(X, 2, seed, options) is None
+            want = gmm_single_oracle(X, 2, seed, options)
+            assert want is not None and not want[4]
+        ds = Dataset(tuple(make_curve(row, hid=str(i), normalized=True)
+                           for i, row in enumerate(X)), "per-curve")
+        with pytest.raises(FitError, match="without a point"):
+            gmm_em(ds, FitOptions(k=2, restarts=3, covariance_kind=kind))
 
     def test_clean_runs_match_oracle(self, kind, harder_dataset):
         X = harder_dataset[0].to_matrix()
