@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import DistanceMatrix, MetricConfig, medoid_of
+from .distance import DistanceMatrix, MetricConfig, cluster_medoids
 from .results import MEDOID_INDEX, ClusteringResult
 
 LINKAGES = ("single", "complete", "average")
@@ -216,7 +216,7 @@ def cut(dendrogram: Dendrogram, k: int, matrix: DistanceMatrix) -> ClusteringRes
     is why the matrix the dendrogram was built from is a required argument.
 
     The result's objective is the total member-to-medoid distance under the
-    same matrix.
+    same matrix; both come from ``distance.cluster_medoids``, as k-medoids' do.
     """
     n = dendrogram.n_leaves
     if not (1 <= k <= n):
@@ -247,18 +247,7 @@ def cut(dendrogram: Dendrogram, k: int, matrix: DistanceMatrix) -> ClusteringRes
             roots[r] = len(roots)
         assignments.append(roots[r])
 
-    square = matrix.to_square()
-    labels = np.asarray(assignments)
-    prototypes = []
-    gaps = []
-    for c in range(k):
-        members = np.flatnonzero(labels == c)
-        medoid = medoid_of(square, members)
-        prototypes.append(medoid)
-        gaps.append(square[members, medoid])
-    # cumsum adds strictly in order: the bits of a += loop over clusters
-    # and their members
-    objective = float(np.cumsum(np.concatenate(gaps))[-1])
+    prototypes, objective = cluster_medoids(matrix.to_square(), assignments, k)
 
     return ClusteringResult(
         method="ahc",

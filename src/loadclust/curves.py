@@ -56,15 +56,16 @@ class LoadCurve:
                 f"load curve needs exactly {HOURS_PER_DAY} values, got {len(vals)}"
             )
         if not all(math.isfinite(v) for v in vals):
-            raise ValueError(
-                f"non-finite value in curve {self.household_id}/{self.date}"
-            )
+            raise ValueError(f"non-finite value in {self.name()}")
         if self.degenerate:
             if not self.normalized:
                 raise ValueError("degenerate flag only applies to normalized curves")
             if any(v != 0.0 for v in vals):
                 raise ValueError("degenerate curve must be all zeros")
         object.__setattr__(self, "values", vals)
+
+    def name(self) -> str:
+        return f"curve {self.household_id}/{self.date}"
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
@@ -128,33 +129,19 @@ class RawReading:
         object.__setattr__(self, "kwh", kwh)
 
 
-def _zscore(m: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Population z-scores of ``m`` along ``axis``, plus the flat mask.
-
-    A slice is flat when its population std (ddof=0) is below
-    ``_FLAT_STD``; its scores are all zeros. The mask has ``axis`` removed.
-    """
-    mean = m.mean(axis=axis, keepdims=True)
-    std = m.std(axis=axis, keepdims=True)
-    flat = std < _FLAT_STD
-    z = (m - mean) / np.where(flat, 1.0, std)
-    z[np.broadcast_to(flat, z.shape)] = 0.0
-    return z, flat.squeeze(axis)
-
-
 def z_normalize(curve: LoadCurve) -> LoadCurve:
     """Z-normalize one curve: subtract the mean, divide by the std.
 
     Uses the *population* standard deviation (divide by 24, not 23); a fixed
     length-24 signal is treated as the whole population, not a sample. When
     the std falls below ``_FLAT_STD`` (1e-12) the curve is flat: it is
-    mapped to all zeros and flagged degenerate rather than rejected.
+    mapped to all zeros and flagged degenerate rather than rejected. A std
+    that overflows float64 raises ValueError, since every score would read
+    zero.
     """
     if curve.normalized:
         raise ValueError("curve is already normalized")
-    z, flat = _zscore(curve.as_array(), 0)
-    return LoadCurve(z.tolist(), curve.household_id, curve.date,
-                     normalized=True, degenerate=bool(flat))
+    return normalize_dataset(Dataset((curve,)))[0]
 
 
 def normalize_dataset(dataset: Dataset, mode: str = PER_CURVE) -> Dataset:
@@ -164,7 +151,8 @@ def normalize_dataset(dataset: Dataset, mode: str = PER_CURVE) -> Dataset:
     for shape-based distances), exactly as ``z_normalize`` does. ``per-hour``
     z-scores each hour index across all curves, which preserves within-day
     magnitude structure; a zero-variance hour column maps to zeros without
-    flagging any curve degenerate.
+    flagging any curve degenerate. A std that overflows float64 raises
+    ValueError naming the curve or the hour column.
     """
     if mode not in (PER_CURVE, PER_HOUR):
         raise ValueError(f"unknown normalization mode {mode!r}")
@@ -174,10 +162,22 @@ def normalize_dataset(dataset: Dataset, mode: str = PER_CURVE) -> Dataset:
         raise ValueError("cannot normalize an empty dataset")
 
     per_curve = mode == PER_CURVE
-    z, flat = _zscore(dataset.to_matrix(), 1 if per_curve else 0)
+    axis = 1 if per_curve else 0
+    m = dataset.to_matrix()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = m.mean(axis=axis, keepdims=True)
+        std = m.std(axis=axis, keepdims=True)
+    overflow = np.flatnonzero(~np.isfinite(std))
+    if overflow.size:
+        i = int(overflow[0])
+        what = dataset[i].name() if per_curve else f"hour column {i}"
+        raise ValueError(f"{what}: the std overflows float64")
+    flat = std < _FLAT_STD
+    z = (m - mean) / np.where(flat, 1.0, std)
+    z[np.broadcast_to(flat, z.shape)] = 0.0
     curves = tuple(
         LoadCurve(row, c.household_id, c.date, normalized=True,
-                  degenerate=per_curve and bool(flat[i]))
+                  degenerate=per_curve and bool(flat[i, 0]))
         for i, (row, c) in enumerate(zip(z.tolist(), dataset))
     )
     return Dataset(curves, mode)

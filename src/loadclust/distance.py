@@ -24,6 +24,9 @@ its pairwise summation would round differently.
 DTW is not a metric: it violates the triangle inequality, so nothing
 downstream may index or prune by it. It is symmetric and non-negative,
 which is all the clustering here relies on.
+
+``cluster_medoids`` is the one medoid rule, for hierarchy cuts and
+k-medoids alike.
 """
 
 from __future__ import annotations
@@ -351,19 +354,24 @@ class DistanceMatrix:
         return sq
 
 
-def medoid_of(square: np.ndarray, members) -> int:
-    """The member with the smallest summed distance to the other members.
+def cluster_medoids(square: np.ndarray, labels, k: int) -> tuple[list, float]:
+    """Each cluster's medoid and the total member-to-medoid distance.
 
-    ``square`` is a symmetric matrix with a zero diagonal and ``members``
-    ascending indices into it; ties go to the lowest index. The sums are
-    column sums because numpy adds along axis 0 one row at a time, in
-    member order: each equals the left-to-right loop over co-members bit
-    for bit (the zero diagonal term changes nothing). A row sum would use
-    pairwise summation and round differently.
+    ``square`` is symmetric with a zero diagonal. A medoid is the member
+    with the smallest summed distance to its co-members, ties to the lowest
+    index. Those sums are column sums of the gathered member rows, which
+    numpy adds one row at a time in member order: the bits of a
+    left-to-right loop (a row sum would add pairwise and round differently).
+    ``cumsum`` adds the objective strictly in cluster, then member order.
     """
-    idx = np.asarray(members)
-    sums = square[np.ix_(idx, idx)].sum(axis=0)
-    return int(idx[np.argmin(sums)])
+    labels = np.asarray(labels)
+    medoids, gaps = [], []
+    for c in range(k):
+        members = np.flatnonzero(labels == c)
+        sums = square[members].sum(axis=0)[members]
+        medoids.append(int(members[np.argmin(sums)]))
+        gaps.append(square[members, medoids[-1]])
+    return medoids, float(np.cumsum(np.concatenate(gaps))[-1])
 
 
 #: Pairs per batch in ``pairwise_matrix``. A batch's arrays are a few

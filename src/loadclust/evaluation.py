@@ -22,7 +22,6 @@ with the largest deviation.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -32,7 +31,7 @@ import numpy as np
 from .ahc import LINKAGES, build_dendrogram, cut
 from .distance import (MetricConfig, UnnormalizedDataWarning,
                        paired_distances, pairwise_matrix, stack_curves)
-from .io import json_text, sidecar_path
+from .io import json_text, read_sidecar, sidecar_path
 from .partitional import FitError, gmm_em, kmeans, kmedoids
 from .results import MEDOID_INDEX, ClusteringResult, FitOptions, FitParams
 
@@ -345,20 +344,15 @@ def load_sweep(path) -> SweepReport:
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: bad row {line!r}") from e
 
-    spec = MethodSpec("ahc")
-    diagnostics = ()
-    try:
-        with open(sidecar_path(path)) as f:
-            meta = json.load(f)
-        metric = None
-        if meta["method"] in MATRIX_METHODS:
-            metric = MetricConfig(meta["metric"], meta["window"])
-        spec = MethodSpec(meta["method"], metric=metric,
-                          linkage=meta["linkage"], seed=meta["seed"])
-        diagnostics = tuple(meta.get("diagnostics", ()))
-    except FileNotFoundError:
-        pass
-    return SweepReport(spec, tuple(rows), EVALUATION_METRIC, diagnostics)
+    meta = read_sidecar(path, ("method", "metric", "window", "linkage", "seed"))
+    if meta is None:
+        return SweepReport(MethodSpec("ahc"), tuple(rows), EVALUATION_METRIC)
+    metric = (MetricConfig(meta["metric"], meta["window"])
+              if meta["method"] in MATRIX_METHODS else None)
+    spec = MethodSpec(meta["method"], metric=metric,
+                      linkage=meta["linkage"], seed=meta["seed"])
+    return SweepReport(spec, tuple(rows), EVALUATION_METRIC,
+                       tuple(meta.get("diagnostics", ())))
 
 
 def sweep_table(dataset, specs, k_min: int, k_max: int):

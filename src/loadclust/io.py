@@ -70,6 +70,23 @@ def sidecar_path(path) -> str:
     return str(path) + ".json"
 
 
+def read_sidecar(path, keys) -> dict | None:
+    """The JSON object in the sidecar of ``path``, None when there is none.
+    A sidecar that is not JSON, or not an object holding every one of
+    ``keys``, raises one ValueError naming it."""
+    side = sidecar_path(path)
+    try:
+        with open(side) as f:
+            doc = json.load(f)
+    except FileNotFoundError:
+        return None
+    except ValueError as e:
+        raise ValueError(f"{side}: not JSON: {e}") from None
+    if not isinstance(doc, dict) or not set(keys) <= doc.keys():
+        raise ValueError(f"{side}: expected a JSON object with keys {list(keys)}")
+    return doc
+
+
 def json_text(doc) -> str:
     """Canonical JSON: sorted keys, indent 2, a trailing newline."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -115,13 +132,10 @@ def read_curves(path) -> tuple[Dataset, dict]:
     A missing manifest is tolerated for hand-made files: the dataset is
     then taken as raw with no degenerate rows.
     """
-    try:
-        with open(sidecar_path(path)) as f:
-            manifest = json.load(f)
-        if manifest.get("kind") != "curves":
-            raise ValueError(f"{sidecar_path(path)}: not a curves manifest")
-    except FileNotFoundError:
-        manifest = {"kind": "curves", "normalization": "raw", "degenerate": []}
+    manifest = (read_sidecar(path, ("kind", "normalization"))
+                or {"kind": "curves", "normalization": "raw", "degenerate": []})
+    if manifest["kind"] != "curves":
+        raise ValueError(f"{sidecar_path(path)}: not a curves manifest")
 
     normalization = manifest["normalization"]
     degenerate = set(manifest.get("degenerate", []))

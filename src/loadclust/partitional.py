@@ -14,7 +14,8 @@ pinned by name.
 
 K-means and the mixture operate on the raw 24-dimensional vectors with
 Euclidean geometry; K-medoids works purely from a precomputed pairwise
-matrix and is the partitional method that can cluster under DTW.
+matrix, with the hierarchy cut's medoid rule (``distance.cluster_medoids``),
+and is the partitional method that can cluster under DTW.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import math
 
 import numpy as np
 
-from .distance import DistanceMatrix, MetricConfig, pairwise_matrix
+from .distance import (DistanceMatrix, MetricConfig, cluster_medoids,
+                       pairwise_matrix)
 from .results import MEDOID_INDEX, VECTOR, ClusteringResult, FitOptions
 
 INITS = ("random", "plusplus")
@@ -194,19 +196,9 @@ def _kmedoids_single(S: np.ndarray, k: int, seed: int,
         d = S[:, medoids]
         labels = np.argmin(d, axis=1)
         labels = _repair_empty(labels, k, d[np.arange(n), labels])
-        # update: each cluster's medoid is the member with the smallest
-        # summed in-cluster distance, ties to the lowest index
-        by_cluster = np.empty(k, dtype=int)
-        cost = 0.0
-        for c in range(k):
-            members = np.flatnonzero(labels == c)
-            within = S[np.ix_(members, members)].sum(axis=1)
-            best_pos = int(np.argmin(within))
-            by_cluster[c] = members[best_pos]
-            cost += float(within[best_pos])
+        # update: each cluster's medoid, sorted for the next assignment
+        by_cluster, cost = cluster_medoids(S, labels, k)
         trace.append(cost)
-        # re-sorted for the next assignment round, so the argmin tie rule
-        # stays "lowest medoid index"
         new_medoids = np.sort(by_cluster)
         if np.array_equal(new_medoids, medoids):
             converged = True

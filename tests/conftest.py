@@ -320,6 +320,60 @@ def gmm_single_oracle(X, k, seed, options):
     return assignments, means, trace, iterations, converged, avg_ll
 
 
+def kmedoids_single_oracle(S, k, seed, max_iterations):
+    """The original ``_kmedoids_single``, with its own medoid loop of
+    pairwise row sums over the ``np.ix_`` member block.
+
+    Kept verbatim as the reference for the library's run, which takes its
+    medoids from ``distance.cluster_medoids``: labels, medoids, iteration
+    count and convergence flag must be equal, and the trace equal up to the
+    rounding of the two summation orders.
+    """
+    from loadclust.partitional import _repair_empty
+    n = len(S)
+    rng = np.random.default_rng(seed)
+    medoids = np.sort(rng.choice(n, size=k, replace=False))
+
+    trace = []
+    converged = False
+    iterations = 0
+    labels = None
+    for _ in range(max_iterations):
+        iterations += 1
+        # assignment: nearest medoid; medoids are kept sorted ascending so
+        # argmin's first-occurrence rule is the lowest-medoid-index tie rule
+        d = S[:, medoids]
+        labels = np.argmin(d, axis=1)
+        labels = _repair_empty(labels, k, d[np.arange(n), labels])
+        # update: each cluster's medoid is the member with the smallest
+        # summed in-cluster distance, ties to the lowest index
+        by_cluster = np.empty(k, dtype=int)
+        cost = 0.0
+        for c in range(k):
+            members = np.flatnonzero(labels == c)
+            within = S[np.ix_(members, members)].sum(axis=1)
+            best_pos = int(np.argmin(within))
+            by_cluster[c] = members[best_pos]
+            cost += float(within[best_pos])
+        trace.append(cost)
+        # re-sorted for the next assignment round, so the argmin tie rule
+        # stays "lowest medoid index"
+        new_medoids = np.sort(by_cluster)
+        if np.array_equal(new_medoids, medoids):
+            converged = True
+            break
+        medoids = new_medoids
+
+    if not converged:
+        # align labels with the final medoid set
+        medoids = new_medoids
+        d = S[:, medoids]
+        labels = np.argmin(d, axis=1)
+        labels = _repair_empty(labels, k, d[np.arange(n), labels])
+        trace.append(float(d[np.arange(n), labels].sum()))
+    return labels, medoids, trace, iterations, converged
+
+
 def wpgma_pair_weights(children, n, cluster_id):
     """Leaf weights 2^(-depth) inside a merge tree, summing to 1."""
     weights = {}
@@ -360,7 +414,7 @@ def square_to_matrix(square, metric=None):
 def z_normalize_oracle(curve: LoadCurve, epsilon: float = 1e-12) -> LoadCurve:
     """Per-curve z-normalization as first written, one curve at a time with
     Python-float mean and std, kept verbatim as the reference for
-    ``curves._zscore``."""
+    ``z_normalize`` and per-curve ``normalize_dataset``."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if curve.normalized:
@@ -379,7 +433,7 @@ def z_normalize_oracle(curve: LoadCurve, epsilon: float = 1e-12) -> LoadCurve:
 
 def per_hour_oracle(dataset: Dataset, epsilon: float = 1e-12) -> Dataset:
     """Per-hour normalization as first written in ``normalize_dataset``,
-    kept verbatim as the reference for ``curves._zscore``."""
+    kept verbatim as the reference for that mode."""
     m = dataset.to_matrix()
     mean = m.mean(axis=0)
     std = m.std(axis=0)  # population std per hour column

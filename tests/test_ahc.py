@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from loadclust import (Dendrogram, DistanceMatrix, MergeStep, MetricConfig,
                        build_dendrogram, cut)
 from loadclust.ahc import LINKAGES
-from loadclust.distance import medoid_of
+from loadclust.distance import cluster_medoids
 
 from conftest import (dict_build_oracle, embed_1d, linkage_oracle,
                       random_square, square_to_matrix, wpgma_pair_weights)
@@ -369,12 +369,23 @@ class TestCutAgainstOracle:
         for _ in range(15):
             self.check(square_to_matrix(random_square(rng, int(rng.integers(3, 12)))))
 
+    def check_labels(self, matrix, labels):
+        k = max(labels) + 1
+        medoids, objective = cluster_medoids(matrix.to_square(), labels, k)
+        protos, expect = cut_oracle(labels, k, matrix)
+        assert tuple(medoids) == protos
+        assert objective.hex() == expect.hex()
+
+    def check_subset(self, matrix, members):
+        """``members`` as cluster 0, every other index as cluster 1."""
+        self.check_labels(matrix, [0 if i in members else 1
+                                   for i in range(matrix.n)])
+
     def test_order_sensitive_matrices(self):
         rng = np.random.default_rng(0)
         for t in range(400):
             m = square_to_matrix(absorbing_square(rng, int(rng.integers(9, 20))))
-            assert (medoid_of(m.to_square(), range(m.n))
-                    == medoid_oracle(m, range(m.n)))
+            self.check_labels(m, [0] * m.n)
             if t % 40 == 0:
                 self.check(m)
 
@@ -386,13 +397,10 @@ class TestCutAgainstOracle:
         for _ in range(100):
             members = rng.choice(noisy_matrix.n, size=int(rng.integers(1, 30)),
                                  replace=False).tolist()
-            assert (medoid_of(noisy_matrix.to_square(), sorted(members))
-                    == medoid_oracle(noisy_matrix, members))
+            self.check_subset(noisy_matrix, members)
         tied = square_to_matrix(random_square(rng, 9, integer=True))
         for size in range(1, 10):
-            members = list(range(size))
-            assert (medoid_of(tied.to_square(), sorted(members))
-                    == medoid_oracle(tied, members))
+            self.check_subset(tied, range(size))
 
 
 BUILD_CONFIGS = [("single", False), ("complete", False), ("average", False),

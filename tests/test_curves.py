@@ -102,8 +102,8 @@ def curve_bits(curve):
 
 
 class TestZScoreAgainstOracles:
-    """One ``_zscore`` serves ``z_normalize`` and both dataset modes; each
-    must give the bits and degenerate flags of the code it replaced."""
+    """``normalize_dataset`` serves ``z_normalize`` and both dataset modes;
+    each must give the bits and degenerate flags of the code it replaced."""
 
     def check(self, rows):
         ds = Dataset(tuple(make_curve(r, hid=f"h{i}")
@@ -126,12 +126,29 @@ class TestZScoreAgainstOracles:
     def test_extreme_magnitudes(self):
         rng = np.random.default_rng(5)
         rows = rng.uniform(0.0, 1.0, size=(6, 24))
-        # squared deviations overflow at 1e300: the std is inf in both codes
-        with np.errstate(over="ignore"):
-            for scale in (1e-300, 1e300):
-                self.check(rows * scale)
-            mixed = np.array([1e-300, 1e-5, 1.0, 1e5, 1e150, 1e300])
-            self.check(rows * mixed[:, None])
+        self.check(rows * 1e-300)
+        mixed = np.array([1e-300, 1e-5, 1.0, 1e5, 1e150])
+        self.check(rows[:5] * mixed[:, None])
+
+    def test_overflowing_std_rejected(self):
+        # squared deviations overflow float64, so the std is inf (NaN once
+        # the mean overflows too) and every score would read zero
+        rows = np.random.default_rng(5).uniform(0.0, 1.0, size=(6, 24))
+        mixed = np.array([1e-300, 1e-5, 1.0, 1e5, 1e150, 1e300])
+        spike = [0.0] * 7 + [1e200] + [0.0] * 16  # one reading RawReading accepts
+        cases = [(rows * 1e300, 0, 0), (rows * mixed[:, None], 5, 0),
+                 ([spike, [0.0] * 24], 0, 7),
+                 ([[1.7e308] * 24, [0.0] * 24], 0, 0)]
+        for bad_rows, row, hour in cases:
+            ds = Dataset(tuple(make_curve(r, hid=f"h{i}")
+                               for i, r in enumerate(bad_rows)))
+            curve = f"curve h{row}/2024-01-01: the std overflows"
+            with pytest.raises(ValueError, match=curve):
+                z_normalize(ds[row])
+            with pytest.raises(ValueError, match=curve):
+                normalize_dataset(ds)
+            with pytest.raises(ValueError, match=f"hour column {hour}: "):
+                normalize_dataset(ds, PER_HOUR)
 
     def test_flat_hour_column(self):
         rows = np.random.default_rng(3).uniform(0.0, 5.0, size=(6, 24))

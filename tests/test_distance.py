@@ -17,7 +17,8 @@ from loadclust import (Dataset, DistanceMatrix, MetricConfig,
                        normalize_dataset, pairwise_matrix,
                        pointwise_distance, save_matrix)
 import loadclust.distance as distance
-from loadclust.distance import condensed_index, medoid_of, paired_distances
+from loadclust.distance import (cluster_medoids, condensed_index,
+                                paired_distances)
 
 from conftest import dtw_oracle, make_curve
 
@@ -284,9 +285,10 @@ class TestDistanceMatrix:
         # 4 points on a line at 0, 1, 2, 3: both middle points tie
         sq = [[abs(i - j) for j in range(4)] for i in range(4)]
         square = self.make(sq).to_square()
-        assert medoid_of(square, [0, 1, 2, 3]) == 1
-        assert medoid_of(square, [0, 1]) == 0
-        assert medoid_of(square, [2]) == 2
+        medoids, objective = cluster_medoids(square, [0, 0, 0, 0], 1)
+        assert list(medoids) == [1] and objective == 4.0
+        medoids, objective = cluster_medoids(square, [0, 0, 1, 2], 3)
+        assert list(medoids) == [0, 2, 3] and objective == 1.0
 
 
 class TestPairwiseMatrix:

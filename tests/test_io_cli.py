@@ -399,3 +399,46 @@ class TestCliSweepAndElbow:
         rc = run_cli("elbow", "--input", p)
         assert rc == 1
         assert "3 rows" in capsys.readouterr().err
+
+
+class TestCliMalformedSidecars:
+    """A sidecar that is not JSON, not an object or lacks a key its reader
+    needs exits 1 with one error line naming the sidecar."""
+
+    @staticmethod
+    def damage(path, how, key):
+        side = path.with_name(path.name + ".json")
+        if how == "not JSON":
+            side.write_text("{not json\n")
+        elif how == "not an object":
+            side.write_text("[1, 2]\n")
+        else:
+            meta = json.loads(side.read_text())
+            del meta[key]
+            side.write_text(json.dumps(meta))
+        return side
+
+    @staticmethod
+    def check_one_error_line(capsys, rc, side):
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(side) in err
+
+    @pytest.mark.parametrize("how", ["not JSON", "not an object", "missing key"])
+    def test_sweep_sidecar(self, tmp_path, synth_file, how, capsys):
+        sp = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--input", synth_file, "--output", sp,
+                       "--k-min", 2, "--k-max", 4) == 0
+        capsys.readouterr()
+        side = self.damage(sp, how, "method")
+        self.check_one_error_line(capsys, run_cli("elbow", "--input", sp), side)
+
+    @pytest.mark.parametrize("how", ["not JSON", "not an object", "missing key"])
+    def test_curves_manifest(self, tmp_path, synth_file, how, capsys):
+        side = self.damage(synth_file, how, "normalization")
+        out = tmp_path / "r.json"
+        rc = run_cli("cluster", "--input", synth_file, "--output", out,
+                     "--k", 3)
+        self.check_one_error_line(capsys, rc, side)
+        assert not out.exists()

@@ -7,12 +7,12 @@ import pytest
 from loadclust import (Dataset, FitError, FitOptions, MetricConfig,
                        SyntheticSpec, generate_synthetic, gmm_em, kmeans,
                        kmedoids, normalize_dataset, pairwise_matrix)
-from loadclust.partitional import (_e_step, _gmm_single, _log_densities,
-                                   _logsumexp_rows, _plusplus_indices,
-                                   _repair_empty)
+from loadclust.partitional import (_e_step, _gmm_single, _kmedoids_single,
+                                   _log_densities, _logsumexp_rows,
+                                   _plusplus_indices, _repair_empty)
 
 from conftest import (best_match_accuracy, embed_1d, gmm_single_oracle,
-                      make_curve)
+                      kmedoids_single_oracle, make_curve)
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +219,46 @@ class TestKmedoids:
         ds = embed_1d([0.0, 1.0, 2.0], normalized=True)
         with pytest.raises(ValueError, match="matrix"):
             kmedoids(ds, FitOptions(k=2), matrix=noisy_matrix)
+
+
+class TestKmedoidsAgainstOracle:
+    """Every restart must keep the labels, medoids, iteration count and
+    convergence flag of the original run, which summed its own rows; only
+    the objective's rounding may move."""
+
+    def check(self, matrix):
+        S = matrix.to_square()
+        tails = 0
+        for max_iterations in (1, 2, 300):
+            for k in range(2, 9):
+                for seed in range(10):
+                    labels, medoids, trace, iterations, converged = (
+                        _kmedoids_single(S, k, seed, max_iterations))
+                    expect = kmedoids_single_oracle(S, k, seed, max_iterations)
+                    assert np.array_equal(labels, expect[0])
+                    assert np.array_equal(medoids, expect[1])
+                    assert (iterations, converged) == expect[3:]
+                    assert trace == pytest.approx(expect[2], rel=1e-12)
+                    if converged:
+                        # the medoid rule's in-order member-to-medoid sum
+                        total = 0.0
+                        for c in range(k):
+                            for i in np.flatnonzero(labels == c):
+                                total += matrix.get(int(i), int(medoids[c]))
+                        assert trace[-1].hex() == total.hex()
+                    else:
+                        # the unconverged tail realigns the labels and sums
+                        # as it always has
+                        assert trace[-1].hex() == expect[2][-1].hex()
+                        tails += 1
+        assert 0 < tails < 3 * 7 * 10
+
+    def test_noisy_matrix(self, noisy_matrix):
+        self.check(noisy_matrix)
+
+    def test_euclidean_matrix(self, harder_dataset):
+        ds, _ = harder_dataset
+        self.check(pairwise_matrix(ds, MetricConfig("euclidean")))
 
 
 class TestGmmInternals:
