@@ -27,7 +27,7 @@ RAW = "raw"
 PER_CURVE = "per-curve"
 PER_HOUR = "per-hour"
 
-_NORMALIZATIONS = (RAW, PER_CURVE, PER_HOUR)
+NORMALIZATIONS = (RAW, PER_CURVE, PER_HOUR)
 
 #: A curve (or hour column) whose population std is below this is flat.
 _FLAT_STD = 1e-12
@@ -85,7 +85,7 @@ class Dataset:
 
     def __post_init__(self):
         curves = tuple(self.curves)
-        if self.normalization not in _NORMALIZATIONS:
+        if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.normalization!r}")
         expect = self.normalization != RAW
         for i, c in enumerate(curves):

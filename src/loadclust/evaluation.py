@@ -327,7 +327,8 @@ def load_sweep(path) -> SweepReport:
     """Rebuild a report from its CSV (and sidecar, when present).
 
     Without a sidecar the rows still load, under a default ahc spec; the
-    elbow command needs nothing more than the rows.
+    elbow command needs nothing more than the rows. A sidecar whose values
+    make no valid spec raises one ValueError naming it.
     """
     rows = []
     with open(path) as f:
@@ -347,12 +348,15 @@ def load_sweep(path) -> SweepReport:
     meta = read_sidecar(path, ("method", "metric", "window", "linkage", "seed"))
     if meta is None:
         return SweepReport(MethodSpec("ahc"), tuple(rows), EVALUATION_METRIC)
-    metric = (MetricConfig(meta["metric"], meta["window"])
-              if meta["method"] in MATRIX_METHODS else None)
-    spec = MethodSpec(meta["method"], metric=metric,
-                      linkage=meta["linkage"], seed=meta["seed"])
-    return SweepReport(spec, tuple(rows), EVALUATION_METRIC,
-                       tuple(meta.get("diagnostics", ())))
+    try:
+        metric = (MetricConfig(meta["metric"], meta["window"])
+                  if meta["method"] in MATRIX_METHODS else None)
+        spec = MethodSpec(meta["method"], metric=metric,
+                          linkage=meta["linkage"], seed=meta["seed"])
+        diagnostics = tuple(meta.get("diagnostics", ()))
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{sidecar_path(path)}: {e}") from None
+    return SweepReport(spec, tuple(rows), EVALUATION_METRIC, diagnostics)
 
 
 def sweep_table(dataset, specs, k_min: int, k_max: int):

@@ -20,7 +20,8 @@ import csv
 import json
 from datetime import date as Date
 
-from .curves import HOURS_PER_DAY, Dataset, LoadCurve, RawReading
+from .curves import (HOURS_PER_DAY, NORMALIZATIONS, Dataset, LoadCurve,
+                     RawReading)
 
 READINGS_HEADER = ["household_id", "date", "hour", "kwh"]
 CURVES_HEADER = ["household_id", "date"] + [f"h{h}" for h in range(HOURS_PER_DAY)]
@@ -130,15 +131,25 @@ def read_curves(path) -> tuple[Dataset, dict]:
     """Load a curves CSV and its manifest.
 
     A missing manifest is tolerated for hand-made files: the dataset is
-    then taken as raw with no degenerate rows.
+    then taken as raw with no degenerate rows. A manifest of another kind,
+    an unknown normalization or degenerate rows that are not a list of
+    integers raise one ValueError naming the manifest.
     """
     manifest = (read_sidecar(path, ("kind", "normalization"))
                 or {"kind": "curves", "normalization": "raw", "degenerate": []})
+    side = sidecar_path(path)
     if manifest["kind"] != "curves":
-        raise ValueError(f"{sidecar_path(path)}: not a curves manifest")
-
+        raise ValueError(f"{side}: not a curves manifest")
     normalization = manifest["normalization"]
-    degenerate = set(manifest.get("degenerate", []))
+    if normalization not in NORMALIZATIONS:
+        raise ValueError(f"{side}: unknown normalization {normalization!r}, "
+                         f"expected one of {NORMALIZATIONS}")
+    degenerate = manifest.get("degenerate", [])
+    if (not isinstance(degenerate, list)
+            or not all(type(i) is int for i in degenerate)):
+        raise ValueError(f"{side}: degenerate must be a list of row "
+                         f"indices, got {degenerate!r}")
+    degenerate = set(degenerate)
     normalized = normalization != "raw"
 
     curves = []

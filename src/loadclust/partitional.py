@@ -20,6 +20,7 @@ and is the partitional method that can cluster under DTW.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -91,8 +92,8 @@ def _plusplus_indices(X: np.ndarray, k: int, rng: np.random.Generator) -> list:
     while len(chosen) < k:
         total = float(d2.sum())
         if total <= 0.0:
-            remaining = [i for i in range(n) if i not in set(chosen)]
-            chosen.append(remaining[0])
+            taken = set(chosen)
+            chosen.append(next(i for i in range(n) if i not in taken))
         else:
             chosen.append(int(rng.choice(n, p=d2 / total)))
         d2 = np.minimum(d2, np.sum((X - X[chosen[-1]]) ** 2, axis=1))
@@ -101,7 +102,13 @@ def _plusplus_indices(X: np.ndarray, k: int, rng: np.random.Generator) -> list:
 
 def _kmeans_single(X: np.ndarray, k: int, seed: int, init: str,
                    max_iterations: int, tolerance: float):
-    """One Lloyd run. Returns (labels, centroids, trace, iterations, converged)."""
+    """One Lloyd run. Returns (labels, centroids, trace, iterations, converged).
+
+    The (n, k) squared distances are kept from one iteration to the next,
+    and only a cluster whose members changed (by assignment or by
+    ``_repair_empty``) gets its mean and distance column recomputed: the
+    same members give the same bits back.
+    """
     n = len(X)
     rng = np.random.default_rng(seed)
     if init == "random":
@@ -110,6 +117,8 @@ def _kmeans_single(X: np.ndarray, k: int, seed: int, init: str,
     else:
         centroids = X[_plusplus_indices(X, k, rng)].copy()
 
+    d2 = np.empty((n, k))
+    changed = range(k)
     labels = None
     trace = []
     converged = False
@@ -117,12 +126,17 @@ def _kmeans_single(X: np.ndarray, k: int, seed: int, init: str,
     for _ in range(max_iterations):
         iterations += 1
         # assignment: nearest centroid, ties to the lowest centroid index
-        d2 = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        for c in changed:
+            diff = X - centroids[c]
+            d2[:, c] = np.sum(diff * diff, axis=1)
         new_labels = np.argmin(d2, axis=1)
         new_labels = _repair_empty(new_labels, k,
                                    d2[np.arange(n), new_labels])
-        # update: coordinate-wise means
-        for c in range(k):
+        # update: coordinate-wise means of the clusters that changed
+        if labels is not None:
+            moved = new_labels != labels
+            changed = np.union1d(labels[moved], new_labels[moved])
+        for c in changed:
             centroids[c] = X[new_labels == c].mean(axis=0)
         objective = float(np.sum((X - centroids[new_labels]) ** 2))
         trace.append(objective)
@@ -137,6 +151,37 @@ def _kmeans_single(X: np.ndarray, k: int, seed: int, init: str,
             break
         labels = new_labels
     return labels, centroids, trace, iterations, converged
+
+
+#: Seeded k-means++ runs of the most recent dataset, keyed by (sha256 of the
+#: matrix bytes, shape, k, seed, max_iterations, tolerance).
+_plusplus_runs: dict = {}
+
+
+def _plusplus_run(X: np.ndarray, k: int, seed: int, max_iterations: int,
+                  tolerance: float):
+    """``_kmeans_single(X, k, seed, "plusplus", ...)``, run once per dataset.
+
+    Restart r of ``kmeans(init="plusplus")`` and the initialization of
+    mixture restart r are the same Lloyd run, so both take it from here.
+    The key hashes the exact matrix bytes (``-0.0`` and ``0.0`` differ);
+    a new dataset empties the memo first. The stored arrays are read-only
+    and the trace a tuple, since every caller shares them.
+    """
+    key = (hashlib.sha256(X.tobytes()).digest(), X.shape, k, seed,
+           max_iterations, tolerance)
+    run = _plusplus_runs.get(key)
+    if run is None:
+        # every stored key shares one dataset, so the first one speaks for all
+        if next(iter(_plusplus_runs), key)[:2] != key[:2]:
+            _plusplus_runs.clear()
+        labels, centroids, trace, iterations, converged = _kmeans_single(
+            X, k, seed, "plusplus", max_iterations, tolerance)
+        labels.setflags(write=False)
+        centroids.setflags(write=False)
+        run = (labels, centroids, tuple(trace), iterations, converged)
+        _plusplus_runs[key] = run
+    return run
 
 
 def kmeans(dataset, options: FitOptions, init: str = "random") -> ClusteringResult:
@@ -155,8 +200,12 @@ def kmeans(dataset, options: FitOptions, init: str = "random") -> ClusteringResu
 
     best = None
     for r in range(options.restarts):
-        run = _kmeans_single(X, options.k, options.seed + r, init,
-                             options.max_iterations, options.tolerance)
+        if init == "plusplus":
+            run = _plusplus_run(X, options.k, options.seed + r,
+                                options.max_iterations, options.tolerance)
+        else:
+            run = _kmeans_single(X, options.k, options.seed + r, init,
+                                 options.max_iterations, options.tolerance)
         if best is None or run[2][-1] < best[2][-1]:
             best = run
     labels, centroids, trace, iterations, converged = best
@@ -260,27 +309,35 @@ def kmedoids(dataset, options: FitOptions,
 # --- Gaussian mixture -------------------------------------------------------
 
 def _log_densities(X, weights, means, covs, kind):
-    """Per-point, per-component log(weight * N(x | mean, cov)).
+    """Per-point, per-component log(weight * N(x | mean, cov)), as a
+    C-contiguous (n, k) array.
 
-    Diagonal covariances are (k, d) variance rows; full covariances are
-    (k, d, d) and evaluated through their Cholesky factors.
+    Diagonal covariances are (k, d) variance rows, evaluated for every
+    component in one (k, n, d) pass; full covariances are (k, d, d) and
+    evaluated one component at a time through their Cholesky factors.
     """
     n, d = X.shape
     k = len(weights)
-    out = np.empty((n, k))
+    log_weights = np.array([math.log(w) for w in weights])
     log2pi = math.log(2.0 * math.pi)
+    if kind == "diagonal":
+        quad = X[None, :, :] - means[:, None, :]
+        quad *= quad
+        quad /= covs[:, None, :]
+        quad = np.add.reduce(quad, axis=2)
+        logdet = np.add.reduce(np.log(covs), axis=1)
+        out = log_weights[:, None] - 0.5 * ((d * log2pi + logdet)[:, None]
+                                            + quad)
+        # the row log-sum-exp must see the same contiguous rows to round
+        # the same way
+        return np.ascontiguousarray(out.T)
+    out = np.empty((n, k))
     for c in range(k):
-        diff = X - means[c]
-        if kind == "diagonal":
-            var = covs[c]
-            quad = np.sum(diff * diff / var, axis=1)
-            logdet = float(np.sum(np.log(var)))
-        else:
-            L = np.linalg.cholesky(covs[c])
-            y = np.linalg.solve(L, diff.T)
-            quad = np.sum(y * y, axis=0)
-            logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-        out[:, c] = math.log(weights[c]) - 0.5 * (d * log2pi + logdet + quad)
+        L = np.linalg.cholesky(covs[c])
+        y = np.linalg.solve(L, (X - means[c]).T)
+        quad = np.sum(y * y, axis=0)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+        out[:, c] = log_weights[c] - 0.5 * (d * log2pi + logdet + quad)
     return out
 
 
@@ -306,8 +363,8 @@ def _e_step(X, weights, means, covs, kind):
 
 def _gmm_init(X, k, seed, options):
     """Moment-match initial parameters from one seeded K-means++ run."""
-    labels, centroids, _, _, _ = _kmeans_single(
-        X, k, seed, "plusplus", options.max_iterations, options.tolerance)
+    labels, centroids, _, _, _ = _plusplus_run(
+        X, k, seed, options.max_iterations, options.tolerance)
     n, d = X.shape
     reg = options.covariance_regularizer
     weights = np.bincount(labels, minlength=k).astype(float) / n
@@ -381,7 +438,8 @@ def gmm_em(dataset, options: FitOptions) -> ClusteringResult:
     """Gaussian mixture over the 24-dimensional curves, fit by EM.
 
     Initialization is moment-matched from one seeded K-means++ run per
-    restart. The E-step works in log space with log-sum-exp stabilization;
+    restart, the run ``kmeans(init="plusplus")`` makes for the same restart
+    (``_plusplus_run``). The E-step works in log space with log-sum-exp stabilization;
     every M-step adds ``covariance_regularizer`` to the variances (or the
     covariance diagonal), so the likelihood ascent holds only up to that
     perturbation. A restart is discarded when its log-likelihood turns

@@ -210,6 +210,97 @@ def dict_build_oracle(matrix, linkage: str = "average",
     return Dendrogram(n, linkage, tuple(merges), matrix.metric)
 
 
+def kmeans_single_oracle(X, k, seed, init, max_iterations, tolerance):
+    """The original ``_kmeans_single``: every centroid and every distance
+    column recomputed on every Lloyd iteration.
+
+    Kept verbatim as the bitwise reference for the library's run, which
+    recomputes only the clusters whose members moved: labels, centroid
+    bytes, trace bits, iteration count and convergence flag must be equal.
+    """
+    from loadclust.partitional import _plusplus_indices, _repair_empty
+    n = len(X)
+    rng = np.random.default_rng(seed)
+    if init == "random":
+        idx = rng.choice(n, size=k, replace=False)
+        centroids = X[np.sort(idx)].copy()
+    else:
+        centroids = X[_plusplus_indices(X, k, rng)].copy()
+
+    labels = None
+    trace = []
+    converged = False
+    iterations = 0
+    for _ in range(max_iterations):
+        iterations += 1
+        # assignment: nearest centroid, ties to the lowest centroid index
+        d2 = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        new_labels = _repair_empty(new_labels, k,
+                                   d2[np.arange(n), new_labels])
+        # update: coordinate-wise means
+        for c in range(k):
+            centroids[c] = X[new_labels == c].mean(axis=0)
+        objective = float(np.sum((X - centroids[new_labels]) ** 2))
+        trace.append(objective)
+
+        if labels is not None and np.array_equal(new_labels, labels):
+            converged = True
+            labels = new_labels
+            break
+        if len(trace) >= 2 and trace[-2] - trace[-1] < tolerance:
+            converged = True
+            labels = new_labels
+            break
+        labels = new_labels
+    return labels, centroids, trace, iterations, converged
+
+
+def log_densities_oracle(X, weights, means, covs, kind):
+    """The original ``_log_densities``, one component at a time.
+
+    Kept verbatim as the bitwise reference for the library's diagonal
+    branch, which evaluates every component in one pass.
+    """
+    n, d = X.shape
+    k = len(weights)
+    out = np.empty((n, k))
+    log2pi = math.log(2.0 * math.pi)
+    for c in range(k):
+        diff = X - means[c]
+        if kind == "diagonal":
+            var = covs[c]
+            quad = np.sum(diff * diff / var, axis=1)
+            logdet = float(np.sum(np.log(var)))
+        else:
+            L = np.linalg.cholesky(covs[c])
+            y = np.linalg.solve(L, diff.T)
+            quad = np.sum(y * y, axis=0)
+            logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+        out[:, c] = math.log(weights[c]) - 0.5 * (d * log2pi + logdet + quad)
+    return out
+
+
+def _gmm_init_oracle(X, k, seed, options):
+    """The original ``_gmm_init``, on a fresh oracle Lloyd run."""
+    labels, centroids, _, _, _ = kmeans_single_oracle(
+        X, k, seed, "plusplus", options.max_iterations, options.tolerance)
+    n, d = X.shape
+    reg = options.covariance_regularizer
+    weights = np.bincount(labels, minlength=k).astype(float) / n
+    means = centroids.copy()
+    if options.covariance_kind == "diagonal":
+        covs = np.empty((k, d))
+        for c in range(k):
+            covs[c] = X[labels == c].var(axis=0) + reg
+    else:
+        covs = np.empty((k, d, d))
+        for c in range(k):
+            diff = X[labels == c] - means[c]
+            covs[c] = (diff.T @ diff) / len(diff) + reg * np.eye(d)
+    return weights, means, covs
+
+
 def _reinit_collapsed(X, weights, means, covs, kind, reg, collapsed, lse):
     """Respawn collapsed components on the lowest-density points."""
     order = np.argsort(lse, kind="stable")
@@ -236,13 +327,12 @@ def gmm_single_oracle(X, k, seed, options):
     iteration count, convergence flag and assignments. Where a respawned
     run would still end usable, the library discards it instead.
     """
-    from loadclust.partitional import (_COLLAPSE_WEIGHT, _gmm_init,
-                                       _log_densities, _logsumexp_rows)
+    from loadclust.partitional import _COLLAPSE_WEIGHT, _logsumexp_rows
     n, d = X.shape
     kind = options.covariance_kind
     reg = options.covariance_regularizer
     try:
-        weights, means, covs = _gmm_init(X, k, seed, options)
+        weights, means, covs = _gmm_init_oracle(X, k, seed, options)
     except np.linalg.LinAlgError:
         return None
 
@@ -255,7 +345,7 @@ def gmm_single_oracle(X, k, seed, options):
     for _ in range(options.max_iterations):
         iterations += 1
         try:
-            logp = _log_densities(X, weights, means, covs, kind)
+            logp = log_densities_oracle(X, weights, means, covs, kind)
         except (np.linalg.LinAlgError, ValueError):
             return None
         lse = _logsumexp_rows(logp)
@@ -277,7 +367,7 @@ def gmm_single_oracle(X, k, seed, options):
                 # a second collapse means this model will not settle
                 converged = False
                 try:
-                    logp = _log_densities(X, weights, means, covs, kind)
+                    logp = log_densities_oracle(X, weights, means, covs, kind)
                 except (np.linalg.LinAlgError, ValueError):
                     return None
                 lse = _logsumexp_rows(logp)

@@ -402,8 +402,9 @@ class TestCliSweepAndElbow:
 
 
 class TestCliMalformedSidecars:
-    """A sidecar that is not JSON, not an object or lacks a key its reader
-    needs exits 1 with one error line naming the sidecar."""
+    """A sidecar that is not JSON, not an object, lacks a key its reader
+    needs or holds a value of the wrong type or range exits 1 with one
+    error line naming the sidecar."""
 
     @staticmethod
     def damage(path, how, key):
@@ -414,7 +415,11 @@ class TestCliMalformedSidecars:
             side.write_text("[1, 2]\n")
         else:
             meta = json.loads(side.read_text())
-            del meta[key]
+            if how == "missing key":
+                del meta[key]
+            else:  # "<key>=<JSON value>"
+                name, value = how.split("=", 1)
+                meta[name] = json.loads(value)
             side.write_text(json.dumps(meta))
         return side
 
@@ -425,7 +430,8 @@ class TestCliMalformedSidecars:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(side) in err
 
-    @pytest.mark.parametrize("how", ["not JSON", "not an object", "missing key"])
+    @pytest.mark.parametrize("how", ["not JSON", "not an object", "missing key",
+                                     "window=[1]", 'method="bogus"'])
     def test_sweep_sidecar(self, tmp_path, synth_file, how, capsys):
         sp = tmp_path / "sweep.csv"
         assert run_cli("sweep", "--input", synth_file, "--output", sp,
@@ -434,7 +440,8 @@ class TestCliMalformedSidecars:
         side = self.damage(sp, how, "method")
         self.check_one_error_line(capsys, run_cli("elbow", "--input", sp), side)
 
-    @pytest.mark.parametrize("how", ["not JSON", "not an object", "missing key"])
+    @pytest.mark.parametrize("how", ["not JSON", "not an object", "missing key",
+                                     "degenerate=5", 'normalization="zscore"'])
     def test_curves_manifest(self, tmp_path, synth_file, how, capsys):
         side = self.damage(synth_file, how, "normalization")
         out = tmp_path / "r.json"

@@ -1,18 +1,28 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loadclust import (Dataset, FitError, FitOptions, MetricConfig,
                        SyntheticSpec, generate_synthetic, gmm_em, kmeans,
                        kmedoids, normalize_dataset, pairwise_matrix)
-from loadclust.partitional import (_e_step, _gmm_single, _kmedoids_single,
-                                   _log_densities, _logsumexp_rows,
-                                   _plusplus_indices, _repair_empty)
+from loadclust import partitional
+from loadclust.partitional import (_e_step, _gmm_single, _kmeans_single,
+                                   _kmedoids_single, _log_densities,
+                                   _logsumexp_rows, _plusplus_indices,
+                                   _plusplus_run, _repair_empty)
+from loadclust.results import result_to_json
 
 from conftest import (best_match_accuracy, embed_1d, gmm_single_oracle,
-                      kmedoids_single_oracle, make_curve)
+                      kmeans_single_oracle, kmedoids_single_oracle,
+                      log_densities_oracle, make_curve)
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +31,14 @@ def harder_dataset():
     spec = SyntheticSpec.default(5, 12, noise_std=0.3, shift_range=2)
     ds, labels = generate_synthetic(spec, seed=0)
     return normalize_dataset(ds), labels
+
+
+def one_plus_three_copies():
+    """One curve plus three copies of another: whichever three curves the
+    random init takes, k=3 leaves a cluster empty at first."""
+    a, b = np.random.default_rng(4).normal(size=(2, 24))
+    return normalize_dataset(Dataset(tuple(
+        make_curve(v, hid=f"h{i}") for i, v in enumerate([a, b, b, b]))))
 
 
 class TestRepairEmpty:
@@ -51,11 +69,7 @@ class TestRepairEmpty:
         assert out.tolist() == [0, 2, 1]
 
     def test_kmeans_on_duplicates_keeps_every_cluster(self):
-        # one curve plus three copies of another: whichever three curves
-        # the random init takes, k=3 leaves a cluster empty at first
-        a, b = np.random.default_rng(4).normal(size=(2, 24))
-        ds = normalize_dataset(Dataset(tuple(
-            make_curve(v, hid=f"h{i}") for i, v in enumerate([a, b, b, b]))))
+        ds = one_plus_three_copies()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for seed in range(10):
@@ -158,6 +172,161 @@ class TestKmeans:
         ds, _ = noisy_dataset
         with pytest.raises(ValueError, match="init"):
             kmeans(ds, FitOptions(k=3), init="farthest")
+
+
+class TestLloydAgainstOracle:
+    """Every restart must keep the original run's labels, centroid bytes,
+    trace bits, iteration count and convergence flag, although only the
+    clusters whose members moved are recomputed."""
+
+    @staticmethod
+    def check(X, seeds=range(10), max_iterations_set=(1, 2, 300)):
+        for init in ("random", "plusplus"):
+            for max_iterations in max_iterations_set:
+                for k in range(2, min(8, len(X)) + 1):
+                    for seed in seeds:
+                        got = _kmeans_single(X, k, seed, init,
+                                             max_iterations, 1e-6)
+                        want = kmeans_single_oracle(X, k, seed, init,
+                                                    max_iterations, 1e-6)
+                        assert np.array_equal(got[0], want[0])
+                        assert got[1].tobytes() == want[1].tobytes()
+                        assert ([t.hex() for t in got[2]]
+                                == [t.hex() for t in want[2]])
+                        assert got[3:] == want[3:]
+
+    def test_harder_dataset(self, harder_dataset):
+        self.check(harder_dataset[0].to_matrix())
+
+    def test_repair_empty_fires(self, monkeypatch):
+        repairs = []
+
+        def counting(labels, k, point_cost):
+            out = _repair_empty(labels, k, point_cost)
+            repairs.append(out is not labels)
+            return out
+
+        monkeypatch.setattr(partitional, "_repair_empty", counting)
+        self.check(one_plus_three_copies().to_matrix())
+        assert any(repairs)
+
+    def test_cluster_empties_after_first_iteration(self):
+        # random init, k=4, seed 0: a cluster empties after the first
+        # iteration, and its donor's mean is recomputed only because the
+        # repair's move counts as a change
+        X = np.zeros((9, 24))
+        X[:, 0] = [1.0, -1.0, -1.0, 2.0, 2.0, -1.0, 1.0, 2.0, 0.0]
+        self.check(X)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_tied_points(self, data):
+        n = data.draw(st.integers(2, 12))
+        # few distinct values per hour, so points and distances tie often
+        values = data.draw(st.lists(
+            st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=24,
+                     max_size=24), min_size=n, max_size=n))
+        X = np.array(values)
+        X[data.draw(st.integers(1, n)):] = X[0]  # exact copies too
+        self.check(X, seeds=range(3))
+
+
+class TestPlusPlusMemo:
+    """``kmeans(init="plusplus")`` and the mixture share their k-means++
+    runs through one memo of the most recent dataset."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        partitional._plusplus_runs.clear()
+
+    def test_gmm_after_kmeanspp_is_byte_identical(self, harder_dataset):
+        ds, _ = harder_dataset
+        options = FitOptions(k=4, seed=2, restarts=3)
+        cold = result_to_json(gmm_em(ds, options))
+        partitional._plusplus_runs.clear()
+        kmeans(ds, options, init="plusplus")
+        assert len(partitional._plusplus_runs) == 3
+        warm = result_to_json(gmm_em(ds, options))
+        assert len(partitional._plusplus_runs) == 3  # every run was shared
+        assert warm == cold
+
+    def test_signed_zero_datasets_never_share(self):
+        X = np.zeros((3, 24))
+        X[:, 0] = [0.0, 1.0, 2.0]
+        Y = X.copy()
+        Y[0, 1] = -0.0
+        assert np.array_equal(X, Y) and X.tobytes() != Y.tobytes()
+        x_run = _plusplus_run(X, 3, 0, 300, 1e-6)
+        x_key, = partitional._plusplus_runs
+        y_run = _plusplus_run(Y, 3, 0, 300, 1e-6)
+        y_key, = partitional._plusplus_runs
+        assert y_run is not x_run and y_key[0] != x_key[0]
+        assert _plusplus_run(X, 3, 0, 300, 1e-6) is not x_run
+
+    def test_cached_arrays_are_read_only(self, harder_dataset):
+        X = harder_dataset[0].to_matrix()
+        labels, centroids, trace, _, _ = _plusplus_run(X, 3, 0, 300, 1e-6)
+        assert _plusplus_run(X, 3, 0, 300, 1e-6)[0] is labels
+        with pytest.raises(ValueError, match="read-only"):
+            labels[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            centroids[0, 0] = 1.0
+        assert isinstance(trace, tuple)
+
+    def test_new_dataset_drops_old_runs(self, harder_dataset, noisy_dataset):
+        X = harder_dataset[0].to_matrix()
+        Y = noisy_dataset[0].to_matrix()
+        for seed in range(3):
+            _plusplus_run(X, 3, seed, 300, 1e-6)
+        assert len(partitional._plusplus_runs) == 3
+        _plusplus_run(Y, 3, 0, 300, 1e-6)
+        assert len(partitional._plusplus_runs) == 1
+        key, = partitional._plusplus_runs
+        assert key[1] == Y.shape and key[2:4] == (3, 0)
+
+    def test_random_init_runs_are_not_stored(self, harder_dataset):
+        kmeans(harder_dataset[0], FitOptions(k=3, restarts=2), init="random")
+        assert partitional._plusplus_runs == {}
+
+
+SWEEP_SCRIPT = """
+import sys
+from loadclust import SyntheticSpec, generate_synthetic, normalize_dataset
+from loadclust import partitional
+from loadclust.evaluation import MethodSpec, save_sweep, sweep
+
+raw, _ = generate_synthetic(
+    SyntheticSpec.default(4, 15, noise_std=0.3, shift_range=2), seed=3)
+dataset = normalize_dataset(raw)
+for method in sys.argv[2:]:
+    print(method, len(partitional._plusplus_runs))
+    save_sweep(sweep(dataset, MethodSpec(method, restarts=3), 2, 6),
+               f"{sys.argv[1]}/{method}.csv")
+"""
+
+
+def test_gmm_sweep_is_the_same_with_a_warm_or_cold_memo(tmp_path):
+    """One process sweeps kmeans, kmeanspp and then gmm, whose restarts
+    all start from runs the kmeanspp sweep stored; a fresh process sweeps
+    gmm alone. The gmm sweep CSV and sidecar must be byte-equal."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    outputs = {}
+    for name, methods in (("warm", ["kmeans", "kmeanspp", "gmm"]),
+                          ("cold", ["gmm"])):
+        out = tmp_path / name
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", SWEEP_SCRIPT, str(out), *methods],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs[name] = (proc.stdout.splitlines(),
+                         (out / "gmm.csv").read_bytes(),
+                         (out / "gmm.csv.json").read_bytes())
+    warm_log, *warm = outputs["warm"]
+    cold_log, *cold = outputs["cold"]
+    assert warm_log[-1] == "gmm 15" and cold_log == ["gmm 0"]
+    assert warm == cold
 
 
 class TestKmedoids:
@@ -302,6 +471,25 @@ class TestGmmInternals:
         assert np.array_equal(logp, _log_densities(X, weights, means, covs, kind))
         assert np.array_equal(lse, _logsumexp_rows(logp))
         assert avg_ll == float(lse.mean())
+
+    @pytest.mark.parametrize("kind", ["diagonal", "full"])
+    def test_log_densities_match_oracle(self, kind):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(40, 24))
+        for k in range(1, 9):
+            weights = rng.uniform(0.05, 1.0, size=k)
+            weights /= weights.sum()
+            means = rng.normal(size=(k, 24))
+            var = rng.uniform(0.01, 5.0, size=(k, 24))
+            covs = var if kind == "diagonal" else np.array(
+                [np.diag(v) + 0.1 for v in var])
+            got = _log_densities(X, weights, means, covs, kind)
+            want = log_densities_oracle(X, weights, means, covs, kind)
+            assert got.flags.c_contiguous and got.shape == (40, k)
+            assert got.tobytes() == want.tobytes()
+            # and so the row log-sum-exp rounds the same way
+            assert (_logsumexp_rows(got).tobytes()
+                    == _logsumexp_rows(want).tobytes())
 
     def test_densities_integrate_to_weights(self):
         # responsibilities from a single row must sum to one
