@@ -31,7 +31,7 @@ import numpy as np
 from .ahc import LINKAGES, build_dendrogram, cut
 from .distance import (MetricConfig, UnnormalizedDataWarning,
                        paired_distances, pairwise_matrix, stack_curves)
-from .io import json_text, read_sidecar, sidecar_path
+from .io import read_csv, read_sidecar, sidecar_path, write_csv
 from .partitional import FitError, gmm_em, kmeans, kmedoids
 from .results import MEDOID_INDEX, ClusteringResult, FitOptions, FitParams
 
@@ -41,6 +41,8 @@ METHODS = ("ahc", "kmeans", "kmeanspp", "kmedoids", "gmm")
 MATRIX_METHODS = ("ahc", "kmedoids")
 
 EVALUATION_METRIC = "euclidean"
+
+SWEEP_HEADER = ["k", "wcbcr"]
 
 
 class DegenerateClusteringError(ValueError):
@@ -297,16 +299,12 @@ def save_sweep(report: SweepReport, path) -> None:
     selected elbow k (null when the report is too short to have one).
     """
     spec = report.spec
-    with open(path, "w") as f:
-        f.write("k,wcbcr\n")
-        for k, w in report.rows:
-            f.write(f"{k},{repr(w)}\n")
     elbow_k = None
     if len(report.rows) >= 3:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateElbowWarning)
             elbow_k = elbow(report)
-    meta = {
+    write_csv(path, SWEEP_HEADER, report.rows, sidecar={
         "kind": "sweep-report",
         "method": spec.method,
         "name": spec.name(),
@@ -318,9 +316,7 @@ def save_sweep(report: SweepReport, path) -> None:
         "denominator_pairs": "unordered",
         "elbow_k": elbow_k,
         "diagnostics": list(report.diagnostics),
-    }
-    with open(sidecar_path(path), "w") as f:
-        f.write(json_text(meta))
+    })
 
 
 def load_sweep(path) -> SweepReport:
@@ -328,35 +324,31 @@ def load_sweep(path) -> SweepReport:
 
     Without a sidecar the rows still load, under a default ahc spec; the
     elbow command needs nothing more than the rows. A sidecar whose values
-    make no valid spec raises one ValueError naming it.
+    make no valid spec, or whose diagnostics are not a list of strings,
+    raises one ValueError naming it; rows whose k does not strictly
+    increase, or whose wcbcr is negative or not finite, raise one naming
+    the CSV.
     """
-    rows = []
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "k,wcbcr":
-            raise ValueError(f"{path}:1: expected header 'k,wcbcr', got {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                k_s, w_s = line.split(",")
-                rows.append((int(k_s), float(w_s)))
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: bad row {line!r}") from e
-
+    rows = read_csv(path, SWEEP_HEADER, lambda row: (int(row[0]), float(row[1])))
+    spec, diagnostics = MethodSpec("ahc"), []
     meta = read_sidecar(path, ("method", "metric", "window", "linkage", "seed"))
-    if meta is None:
-        return SweepReport(MethodSpec("ahc"), tuple(rows), EVALUATION_METRIC)
+    if meta is not None:
+        try:
+            metric = (MetricConfig(meta["metric"], meta["window"])
+                      if meta["method"] in MATRIX_METHODS else None)
+            spec = MethodSpec(meta["method"], metric=metric,
+                              linkage=meta["linkage"], seed=meta["seed"])
+            diagnostics = meta.get("diagnostics", [])
+            if (not isinstance(diagnostics, list)
+                    or not all(isinstance(d, str) for d in diagnostics)):
+                raise ValueError(f"diagnostics must be a list of strings, "
+                                 f"got {diagnostics!r}")
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{sidecar_path(path)}: {e}") from None
     try:
-        metric = (MetricConfig(meta["metric"], meta["window"])
-                  if meta["method"] in MATRIX_METHODS else None)
-        spec = MethodSpec(meta["method"], metric=metric,
-                          linkage=meta["linkage"], seed=meta["seed"])
-        diagnostics = tuple(meta.get("diagnostics", ()))
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{sidecar_path(path)}: {e}") from None
-    return SweepReport(spec, tuple(rows), EVALUATION_METRIC, diagnostics)
+        return SweepReport(spec, rows, EVALUATION_METRIC, diagnostics)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def sweep_table(dataset, specs, k_min: int, k_max: int):
@@ -378,10 +370,6 @@ def sweep_table(dataset, specs, k_min: int, k_max: int):
 
 
 def save_table(names, rows, path) -> None:
-    """One CSV, k in the first column and one method's wcbcr per column."""
-    with open(path, "w") as f:
-        f.write("k," + ",".join(names) + "\n")
-        for row in rows:
-            cells = [str(row[0])]
-            cells += ["" if v is None else repr(v) for v in row[1:]]
-            f.write(",".join(cells) + "\n")
+    """One CSV, k in the first column and one method's wcbcr per column;
+    a fit that failed is an empty cell."""
+    write_csv(path, ["k", *names], rows)

@@ -1,6 +1,5 @@
-"""CSV interchange for readings and curve datasets.
-
-Two file shapes:
+"""Text artifacts: every CSV goes through ``write_csv`` and ``read_csv``,
+every sidecar and result JSON through ``read_json``. Two CSV shapes here:
 
 - readings CSV, the raw ingestion input: one meter reading per row under
   the header ``household_id,date,hour,kwh``.
@@ -9,14 +8,15 @@ Two file shapes:
   ``<path>.json`` recording the normalization mode, degenerate row indices,
   and any provenance the writer wants to attach.
 
-Floats are written with ``repr`` (shortest exact round-trip) and manifests
-with sorted keys, so identical data always produces identical bytes. Parse
-errors carry ``path:line:`` prefixes.
+Floats are written with ``repr`` (shortest exact round-trip), lines end
+with LF and JSON keys are sorted, so identical data always produces
+identical bytes. Parse errors carry ``path:line:`` prefixes.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from datetime import date as Date
 
@@ -27,43 +27,53 @@ READINGS_HEADER = ["household_id", "date", "hour", "kwh"]
 CURVES_HEADER = ["household_id", "date"] + [f"h{h}" for h in range(HOURS_PER_DAY)]
 
 
-def _parse_date(s: str) -> Date:
-    return Date.fromisoformat(s)
+def write_csv(path, header, rows, sidecar=None) -> None:
+    """Write ``header`` and ``rows`` as LF-ended CSV (a float by ``repr``,
+    None as an empty cell), and ``sidecar``, if given, as its JSON sidecar."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+    if sidecar is not None:
+        with open(sidecar_path(path), "w") as f:
+            f.write(json_text(sidecar))
 
 
-def read_readings(path) -> list:
-    """Load raw meter readings, one RawReading per row."""
+def read_csv(path, header, parse) -> list:
+    """``parse(row)`` of every non-empty row after ``header``. A wrong
+    header, a wrong field count or a ValueError from ``parse`` raises one
+    ValueError prefixed ``path:line:``."""
     out = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}:1: empty file") from None
-        if header != READINGS_HEADER:
-            raise ValueError(
-                f"{path}:1: expected header {','.join(READINGS_HEADER)!r}, "
-                f"got {','.join(header)!r}"
-            )
+        first = next(reader, None)
+        if first is None:
+            raise ValueError(f"{path}:1: empty file")
+        if first != header:
+            raise ValueError(f"{path}:1: expected header {','.join(header)!r}, "
+                             f"got {','.join(first)!r}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} "
+                                 f"fields, got {len(row)}")
             try:
-                out.append(RawReading(row[0], _parse_date(row[1]),
-                                      int(row[2]), float(row[3])))
+                out.append(parse(row))
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from e
     return out
 
 
+def read_readings(path) -> list:
+    """Load raw meter readings, one RawReading per row."""
+    return read_csv(path, READINGS_HEADER, lambda row: RawReading(
+        row[0], Date.fromisoformat(row[1]), int(row[2]), float(row[3])))
+
+
 def write_readings(readings, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(READINGS_HEADER)
-        for r in readings:
-            w.writerow([r.household_id, r.date.isoformat(), r.hour, repr(r.kwh)])
+    write_csv(path, READINGS_HEADER, (
+        [r.household_id, r.date.isoformat(), r.hour, r.kwh] for r in readings))
 
 
 def sidecar_path(path) -> str:
@@ -71,21 +81,26 @@ def sidecar_path(path) -> str:
     return str(path) + ".json"
 
 
-def read_sidecar(path, keys) -> dict | None:
-    """The JSON object in the sidecar of ``path``, None when there is none.
-    A sidecar that is not JSON, or not an object holding every one of
-    ``keys``, raises one ValueError naming it."""
-    side = sidecar_path(path)
-    try:
-        with open(side) as f:
+def read_json(path, keys) -> dict:
+    """The JSON object in the file at ``path``. A file that is not JSON, or
+    not an object holding every one of ``keys``, raises one ValueError
+    naming it."""
+    with open(path) as f:
+        try:
             doc = json.load(f)
+        except ValueError as e:
+            raise ValueError(f"{path}: not JSON: {e}") from None
+    if not isinstance(doc, dict) or not set(keys) <= doc.keys():
+        raise ValueError(f"{path}: expected a JSON object with keys {list(keys)}")
+    return doc
+
+
+def read_sidecar(path, keys) -> dict | None:
+    """``read_json`` of the sidecar of ``path``, None when there is none."""
+    try:
+        return read_json(sidecar_path(path), keys)
     except FileNotFoundError:
         return None
-    except ValueError as e:
-        raise ValueError(f"{side}: not JSON: {e}") from None
-    if not isinstance(doc, dict) or not set(keys) <= doc.keys():
-        raise ValueError(f"{side}: expected a JSON object with keys {list(keys)}")
-    return doc
 
 
 def json_text(doc) -> str:
@@ -116,15 +131,9 @@ def write_curves(dataset: Dataset, path, extra: dict | None = None) -> None:
         "normalization": dataset.normalization,
         "degenerate": [i for i, c in enumerate(dataset) if c.degenerate],
     }, extra, "manifest key")
-
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(CURVES_HEADER)
-        for c in dataset:
-            w.writerow([c.household_id, c.date.isoformat()]
-                       + [repr(v) for v in c.values])
-    with open(sidecar_path(path), "w") as f:
-        f.write(json_text(manifest))
+    write_csv(path, CURVES_HEADER, (
+        [c.household_id, c.date.isoformat(), *c.values] for c in dataset),
+        sidecar=manifest)
 
 
 def read_curves(path) -> tuple[Dataset, dict]:
@@ -132,8 +141,9 @@ def read_curves(path) -> tuple[Dataset, dict]:
 
     A missing manifest is tolerated for hand-made files: the dataset is
     then taken as raw with no degenerate rows. A manifest of another kind,
-    an unknown normalization or degenerate rows that are not a list of
-    integers raise one ValueError naming the manifest.
+    an unknown normalization, degenerate rows that are not a list of
+    integers or a curve count that is not an integer raise one ValueError
+    naming the manifest.
     """
     manifest = (read_sidecar(path, ("kind", "normalization"))
                 or {"kind": "curves", "normalization": "raw", "degenerate": []})
@@ -149,43 +159,23 @@ def read_curves(path) -> tuple[Dataset, dict]:
             or not all(type(i) is int for i in degenerate)):
         raise ValueError(f"{side}: degenerate must be a list of row "
                          f"indices, got {degenerate!r}")
+    n_curves = manifest.get("n_curves")
+    if n_curves is not None and type(n_curves) is not int:
+        raise ValueError(f"{side}: n_curves must be an integer, "
+                         f"got {n_curves!r}")
     degenerate = set(degenerate)
     normalized = normalization != "raw"
+    # the manifest indexes curves, not lines, so a blank line shifts nothing
+    index = itertools.count()
 
-    curves = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}:1: empty file") from None
-        if header != CURVES_HEADER:
-            raise ValueError(
-                f"{path}:1: expected header "
-                f"{','.join(CURVES_HEADER[:3])},...,h23"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 + HOURS_PER_DAY:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {2 + HOURS_PER_DAY} fields, "
-                    f"got {len(row)}"
-                )
-            try:
-                curves.append(LoadCurve(
-                    tuple(float(v) for v in row[2:]),
-                    household_id=row[0],
-                    date=_parse_date(row[1]),
-                    normalized=normalized,
-                    degenerate=(lineno - 2) in degenerate,
-                ))
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from e
-    dataset = Dataset(tuple(curves), normalization)
-    if manifest.get("n_curves") is not None and manifest["n_curves"] != len(dataset):
+    def parse(row):
+        return LoadCurve(row[2:], household_id=row[0],
+                         date=Date.fromisoformat(row[1]), normalized=normalized,
+                         degenerate=next(index) in degenerate)
+
+    dataset = Dataset(tuple(read_csv(path, CURVES_HEADER, parse)), normalization)
+    if n_curves is not None and n_curves != len(dataset):
         raise ValueError(
-            f"{path}: manifest says {manifest['n_curves']} curves, "
-            f"file has {len(dataset)}"
+            f"{path}: manifest says {n_curves} curves, file has {len(dataset)}"
         )
     return dataset, manifest

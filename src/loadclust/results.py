@@ -14,13 +14,12 @@ a bad value is rejected when either is built, before any data is read.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 from .curves import HOURS_PER_DAY
 from .distance import MetricConfig
-from .io import json_text, with_extra
+from .io import json_text, read_json, with_extra
 
 #: What ``ClusteringResult.prototypes`` holds.
 MEDOID_INDEX = "medoid-index"
@@ -195,34 +194,46 @@ def save_result(result: ClusteringResult, path,
         f.write(result_to_json(result, extra_method_fields))
 
 
+#: The top-level fields of a result JSON and the JSON types each may hold.
+RESULT_FIELDS = {
+    "method": (dict,), "k": (int,), "seed": (int, type(None)),
+    "converged": (bool,), "iterations": (int,), "assignments": (list,),
+    "prototypes": (list,), "objective": (int, float),
+}
+
+
 def load_result(path) -> ClusteringResult:
     """Rebuild a result from its JSON export.
 
     The trace is not serialized, so round-tripped results compare equal on
-    everything except ``trace``.
+    everything except ``trace``. A file that is not JSON, not an object,
+    lacks a field or holds a value of the wrong type or range raises one
+    ValueError naming it.
     """
-    with open(path) as f:
-        doc = json.load(f)
-    desc = doc["method"]
-    metric = None
-    if "metric" in desc:
-        metric = MetricConfig(desc["metric"], desc.get("window", 4))
-    kind = desc["prototype_kind"]
-    if kind == MEDOID_INDEX:
-        protos = tuple(int(p) for p in doc["prototypes"])
-    else:
-        protos = tuple(tuple(p) for p in doc["prototypes"])
-    return ClusteringResult(
-        method=desc["algorithm"],
-        k=int(doc["k"]),
-        assignments=tuple(doc["assignments"]),
-        prototypes=protos,
-        prototype_kind=kind,
-        objective=float(doc["objective"]),
-        iterations=int(doc["iterations"]),
-        converged=bool(doc["converged"]),
-        seed=doc["seed"],
-        metric=metric,
-        linkage=desc.get("linkage"),
-        init=desc.get("init"),
-    )
+    doc = read_json(path, RESULT_FIELDS)
+    try:
+        for key, types in RESULT_FIELDS.items():
+            if type(doc[key]) not in types:
+                raise ValueError(f"{key} has the wrong type: {doc[key]!r}")
+        desc = doc["method"]
+        if not {"algorithm", "prototype_kind"} <= desc.keys():
+            raise ValueError("method must hold algorithm and prototype_kind")
+        metric = None
+        if "metric" in desc:
+            metric = MetricConfig(desc["metric"], desc.get("window", 4))
+        return ClusteringResult(
+            method=desc["algorithm"],
+            k=doc["k"],
+            assignments=doc["assignments"],
+            prototypes=doc["prototypes"],
+            prototype_kind=desc["prototype_kind"],
+            objective=float(doc["objective"]),
+            iterations=doc["iterations"],
+            converged=doc["converged"],
+            seed=doc["seed"],
+            metric=metric,
+            linkage=desc.get("linkage"),
+            init=desc.get("init"),
+        )
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from None

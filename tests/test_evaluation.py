@@ -413,6 +413,12 @@ class TestSweepFiles:
         p.write_text("k,wcbcr\n2,0.5\nthree,0.1\n")
         with pytest.raises(ValueError, match=r"\.csv:3"):
             load_sweep(p)
+        p.write_text("k,wcbcr\n2,0.5\n3,0.1,7\n")
+        with pytest.raises(ValueError, match=r"\.csv:3: expected 2 fields"):
+            load_sweep(p)
+        p.write_text("k,wcbcr\n2,0.5\n \n3,0.1\n")
+        with pytest.raises(ValueError, match=r"\.csv:3"):
+            load_sweep(p)
 
     def test_degenerate_save_suppresses_elbow_warning(self, tmp_path):
         flat = SweepReport(MethodSpec("ahc"), ((2, 1.0), (3, 1.0), (4, 1.0)))

@@ -56,6 +56,13 @@ class TestReadingsFiles:
         with pytest.raises(ValueError, match=r"r\.csv:3"):
             read_readings(p)
 
+    def test_crlf_file_reads_back(self, tmp_path):
+        # the line ends earlier versions wrote
+        p = tmp_path / "r.csv"
+        write_readings(self.sample(), p)
+        p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+        assert read_readings(p) == self.sample()
+
 
 class TestCurvesFiles:
     def dataset(self):
@@ -120,6 +127,25 @@ class TestCurvesFiles:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"c\.csv:3.*26 fields"):
             read_curves(p)
+
+    def test_crlf_file_reads_back(self, tmp_path):
+        # the line ends earlier versions wrote
+        ds = self.dataset()
+        p = tmp_path / "c.csv"
+        write_curves(ds, p)
+        p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+        loaded, manifest = read_curves(p)
+        assert loaded == ds and manifest["degenerate"] == [10, 11]
+
+    def test_blank_lines_do_not_shift_degenerate_rows(self, tmp_path):
+        ds = self.dataset()
+        p = tmp_path / "c.csv"
+        write_curves(ds, p)
+        lines = p.read_text().splitlines()
+        lines.insert(1, "")
+        p.write_text("\n".join(lines) + "\n")
+        loaded, _ = read_curves(p)
+        assert loaded == ds
 
 
 def run_cli(*argv):
@@ -393,6 +419,18 @@ class TestCliSweepAndElbow:
         assert captured.out == "2\n"
         assert "no elbow" in captured.err
 
+    @pytest.mark.parametrize("rows", ["3,1.0\n2,0.5\n4,0.2\n",
+                                      "2,1.0\n2,0.5\n4,0.2\n",
+                                      "2,1.0\n3,nan\n4,0.2\n"])
+    def test_bad_sweep_rows_exit_1_naming_the_file(self, tmp_path, rows,
+                                                   capsys):
+        p = tmp_path / "bad.csv"
+        p.write_text("k,wcbcr\n" + rows)
+        rc = run_cli("elbow", "--input", p)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: ") and err.count("\n") == 1
+
     def test_elbow_too_short_exits_1(self, tmp_path, capsys):
         p = tmp_path / "short.csv"
         p.write_text("k,wcbcr\n2,1.0\n3,0.5\n")
@@ -431,7 +469,8 @@ class TestCliMalformedSidecars:
         assert str(side) in err
 
     @pytest.mark.parametrize("how", ["not JSON", "not an object", "missing key",
-                                     "window=[1]", 'method="bogus"'])
+                                     "window=[1]", 'method="bogus"',
+                                     'diagnostics="abc"', "diagnostics=[1]"])
     def test_sweep_sidecar(self, tmp_path, synth_file, how, capsys):
         sp = tmp_path / "sweep.csv"
         assert run_cli("sweep", "--input", synth_file, "--output", sp,
@@ -441,7 +480,9 @@ class TestCliMalformedSidecars:
         self.check_one_error_line(capsys, run_cli("elbow", "--input", sp), side)
 
     @pytest.mark.parametrize("how", ["not JSON", "not an object", "missing key",
-                                     "degenerate=5", 'normalization="zscore"'])
+                                     "degenerate=5", 'normalization="zscore"',
+                                     'n_curves="30"', "n_curves=true",
+                                     "n_curves=30.0"])
     def test_curves_manifest(self, tmp_path, synth_file, how, capsys):
         side = self.damage(synth_file, how, "normalization")
         out = tmp_path / "r.json"
@@ -449,3 +490,21 @@ class TestCliMalformedSidecars:
                      "--k", 3)
         self.check_one_error_line(capsys, rc, side)
         assert not out.exists()
+
+
+def test_pipeline_writes_no_carriage_returns(tmp_path, capsys):
+    """Every text artifact ends its lines with LF alone; the matrix cache
+    is binary and exempt."""
+    curves, cache = tmp_path / "curves.csv", tmp_path / "m.dmx"
+    assert run_cli("synth", "--output", curves, "--seed", 0) == 0
+    assert run_cli("cluster", "--input", curves, "--output",
+                   tmp_path / "result.json", "--k", 3,
+                   "--save-matrix", cache) == 0
+    assert run_cli("sweep", "--input", curves, "--output",
+                   tmp_path / "sweep.csv", "--k-min", 2, "--k-max", 5,
+                   "--load-matrix", cache) == 0
+    capsys.readouterr()
+    written = sorted(p.name for p in tmp_path.iterdir() if p != cache)
+    assert written == ["curves.csv", "curves.csv.json", "result.json",
+                       "sweep.csv", "sweep.csv.json"]
+    assert [n for n in written if b"\r" in (tmp_path / n).read_bytes()] == []

@@ -133,3 +133,25 @@ class TestResultJson:
         p2 = tmp_path / "r2.json"
         save_result(loaded, p2)
         assert p.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("how", [
+        "not JSON", "not an object", "missing method", 'k="3"', "k=3.0",
+        'converged="yes"', "iterations=true", 'seed="0"', 'objective="1.5"',
+        'method="kmedoids"', 'assignments={"0": 0}', "assignments=[0, 7, 1]",
+        "prototypes=5", 'method={"algorithm": "kmedoids"}',
+    ])
+    def test_damaged_file_is_one_error_naming_it(self, tmp_path, how):
+        p = tmp_path / "r.json"
+        save_result(medoid_result(), p)
+        doc = json.loads(p.read_text())
+        if how == "missing method":
+            del doc["method"]
+        elif "=" in how:
+            key, value = how.split("=", 1)
+            doc[key] = json.loads(value)
+        p.write_text({"not JSON": "{not json\n", "not an object": "[1, 2]\n"}
+                     .get(how, json.dumps(doc)))
+        with pytest.raises(ValueError) as info:
+            load_result(p)
+        assert str(info.value).startswith(f"{p}: ")
+        assert "\n" not in str(info.value)
