@@ -13,7 +13,7 @@ artifacts serialize floats in shortest round-trip form, and repeated runs
 produce byte-identical files.
 """
 
-from .ahc import Dendrogram, MergeStep, build_dendrogram, cut
+from .ahc import Dendrogram, MergeStep, build_dendrogram, cut, cut_range
 from .curves import (Dataset, LoadCurve, RawReading, SyntheticSpec,
                      default_archetypes, generate_synthetic,
                      normalize_dataset, reshape_readings, z_normalize)
@@ -49,6 +49,7 @@ __all__ = [
     "UnnormalizedDataWarning",
     "build_dendrogram",
     "cut",
+    "cut_range",
     "default_archetypes",
     "dtw",
     "elbow",

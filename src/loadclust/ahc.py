@@ -4,7 +4,7 @@ Standard bottom-up scheme: start from singletons, repeatedly merge the
 closest pair of live clusters, update the merged cluster's distance to every
 survivor with the linkage rule, stop at one cluster. The full merge history
 (the dendrogram) is kept so any number of clusters can be read off later
-without reclustering.
+without reclustering; ``cut_range`` reads a whole k-range in one pass.
 
 Linkage rules, with A and B the merged clusters and K any other:
 
@@ -25,7 +25,8 @@ reproducible, including on matrices full of ties.
 The hierarchy is built in O(n^2) memory and, in practice, close to O(n^2)
 time: a working copy of the square matrix plus a per-row nearest-neighbour
 cache (the "generic" algorithm of D. Müllner, *Modern hierarchical,
-agglomerative clustering algorithms*, arXiv:1109.2378). Every height is
+agglomerative clustering algorithms*, arXiv:1109.2378), every row's entry
+exact from a vectorized pass before the first merge. Every height is
 computed with the same floating-point operations, in the same order, as the
 textbook pair-scan, so both give the same merges bit for bit.
 """
@@ -37,10 +38,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import DistanceMatrix, MetricConfig, cluster_medoids
+from .distance import DistanceMatrix, MetricConfig, medoid, total_distance
 from .results import MEDOID_INDEX, ClusteringResult
 
 LINKAGES = ("single", "complete", "average")
+
+#: Rows per block of the build's nearest-neighbour start: a block's
+#: temporaries take about 17 * _NN_BLOCK_ROWS * n bytes, never n x n.
+_NN_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,9 @@ def build_dendrogram(matrix: DistanceMatrix, linkage: str = "average",
     marked stale; it is rescanned only when it reaches the top of the
     selection. The new cluster has the largest id, so its own row is empty,
     and a row that is strictly closer to it than its ``nd`` takes it as its
-    exact ``nn``. Every row starts stale with a bound of -inf.
+    exact ``nn``. Every row starts exact: before the first merge ids equal
+    slots, so one vectorized pass over blocks of rows takes each row's
+    first minimum to the right of the diagonal, the smallest partner id.
 
     Why the tie rule survives: each merge takes the rows with the smallest
     ``nd`` and, among them, the one with the smallest id, rescanning it first
@@ -140,7 +147,8 @@ def build_dendrogram(matrix: DistanceMatrix, linkage: str = "average",
     height is bit-identical to a pair-by-pair scan.
 
     Working memory is one n x n float64, 8n^2 bytes (82 MB at n=3200), plus
-    O(n) per merge; the time is O(n^2) plus O(n) per stale rescan.
+    a start block of ``_NN_BLOCK_ROWS`` rows and O(n) per merge; the time
+    is O(n^2) plus O(n) per stale rescan.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}, expected one of {LINKAGES}")
@@ -153,9 +161,14 @@ def build_dendrogram(matrix: DistanceMatrix, linkage: str = "average",
     dist = matrix.to_square()
     ids = np.arange(n)  # cluster id per slot, -1 once retired
     sizes = [1] * n
-    nd = np.full(n, -math.inf)
-    nn = np.zeros(n, dtype=np.intp)
-    stale = np.ones(n, dtype=bool)
+    nd = np.empty(n)
+    nn = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, _NN_BLOCK_ROWS):
+        hi = min(lo + _NN_BLOCK_ROWS, n)
+        block = np.where(ids > ids[lo:hi, None], dist[lo:hi], math.inf)
+        nn[lo:hi] = block.argmin(axis=1)
+        nd[lo:hi] = block[np.arange(hi - lo), nn[lo:hi]]
+    stale = np.zeros(n, dtype=bool)
 
     merges = []
     # overflow to inf is silent, as it is for Python floats
@@ -206,60 +219,76 @@ def build_dendrogram(matrix: DistanceMatrix, linkage: str = "average",
 
 
 def cut(dendrogram: Dendrogram, k: int, matrix: DistanceMatrix) -> ClusteringResult:
-    """Flat k-clustering read off the hierarchy.
+    """Flat k-clustering read off the hierarchy: ``cut_range`` at one k."""
+    return cut_range(dendrogram, k, k, matrix)[0]
 
-    Undoes the last k-1 merges: the clusters are the connected components
-    after applying only the first n-k merge steps. Labels are contiguous
-    0..k-1 in order of first appearance over leaves 0..n-1; the prototype
-    of each cluster is its medoid under ``matrix`` (the member minimizing
-    the summed distance to its co-members, ties to the lowest index), which
-    is why the matrix the dendrogram was built from is a required argument.
 
-    The result's objective is the total member-to-medoid distance under the
-    same matrix; both come from ``distance.cluster_medoids``, as k-medoids' do.
+def cut_range(dendrogram: Dendrogram, k_min: int, k_max: int,
+              matrix: DistanceMatrix) -> list:
+    """Flat k-clusterings for every k in [k_min, k_max], ascending, read
+    off the hierarchy in one pass over one square of ``matrix``.
+
+    The k clusters are the connected components after the first n-k merge
+    steps, labelled 0..k-1 in order of first appearance over leaves
+    0..n-1. Each prototype is the cluster's ``distance.medoid`` under
+    ``matrix``, which must be the matrix the dendrogram was built from
+    (same n and metric, else ValueError), and the objective is the
+    ``distance.total_distance`` of every member to its medoid. Going from k
+    to k-1 joins two clusters, so only the joined one needs a new medoid;
+    each result has the bits of a fresh cut at its k. The members of every
+    cluster the range holds are kept, at most n * (k_max - k_min + 1)
+    indices.
     """
     n = dendrogram.n_leaves
-    if not (1 <= k <= n):
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if not (1 <= k_min <= k_max <= n):
+        got = k_min if k_min == k_max else f"[{k_min}, {k_max}]"
+        raise ValueError(f"k must be in [1, {n}], got {got}")
     if matrix.n != n:
         raise ValueError(
             f"matrix is for {matrix.n} curves but the dendrogram has {n} leaves"
         )
+    if matrix.metric != dendrogram.metric:
+        raise ValueError(
+            f"matrix is {matrix.metric} but the dendrogram was built "
+            f"under {dendrogram.metric}"
+        )
+    square = matrix.to_square()
 
-    parent = list(range(2 * n - 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for t in range(n - k):
+    leaves = {i: [i] for i in range(n)}  # cluster id -> its leaves
+    for t in range(n - k_max):
         step = dendrogram.merges[t]
-        parent[find(step.left)] = n + t
-        parent[find(step.right)] = n + t
-
-    roots = {}
-    assignments = []
-    for i in range(n):
-        r = find(i)
-        if r not in roots:
-            roots[r] = len(roots)
-        assignments.append(roots[r])
-
-    prototypes, objective = cluster_medoids(matrix.to_square(), assignments, k)
-
-    return ClusteringResult(
-        method="ahc",
-        k=k,
-        assignments=tuple(assignments),
-        prototypes=tuple(prototypes),
-        prototype_kind=MEDOID_INDEX,
-        objective=objective,
-        iterations=len(dendrogram.merges),
-        converged=True,
-        seed=None,
-        metric=dendrogram.metric,
-        linkage=dendrogram.linkage,
-    )
-
+        leaves[n + t] = leaves.pop(step.left) + leaves.pop(step.right)
+    live = [set(leaves)]  # the cluster ids at k = k_max, k_max - 1, ...
+    for t in range(n - k_max, n - k_min):
+        step = dendrogram.merges[t]
+        leaves[n + t] = leaves[step.left] + leaves[step.right]
+        live.append(live[-1] - {step.left, step.right} | {n + t})
+    # medoids of every cluster some k in range holds, the largest first: its
+    # member-row gather is the biggest block, and the smaller gathers then
+    # reuse that memory. Smaller first, the allocator kept their freed
+    # blocks while the big one was live: an n=3200 average-linkage sweep
+    # peaked at 237 MB RSS, against 208 MB largest first.
+    found = {}  # cluster id -> (leaves ascending, medoid, their distances to it)
+    for c in sorted(leaves, key=lambda c: len(leaves[c]), reverse=True):
+        members = np.sort(leaves[c])
+        found[c] = (members, *medoid(square, members))
+    results = []
+    for k, ids in zip(range(k_max, k_min - 1, -1), live):
+        ordered = sorted((found[c] for c in ids), key=lambda f: f[0][0])
+        labels = np.empty(n, dtype=np.intp)
+        for c, (members, _, _) in enumerate(ordered):
+            labels[members] = c
+        results.append(ClusteringResult(
+            method="ahc",
+            k=k,
+            assignments=tuple(labels.tolist()),
+            prototypes=tuple(c[1] for c in ordered),
+            prototype_kind=MEDOID_INDEX,
+            objective=total_distance([c[2] for c in ordered]),
+            iterations=len(dendrogram.merges),
+            converged=True,
+            seed=None,
+            metric=dendrogram.metric,
+            linkage=dendrogram.linkage,
+        ))
+    return results[::-1]

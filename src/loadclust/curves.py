@@ -106,8 +106,17 @@ class Dataset:
         return self.curves[i]
 
     def to_matrix(self) -> np.ndarray:
-        """Stack curve values into an (n, 24) float array."""
-        return np.asarray([c.values for c in self.curves], dtype=float)
+        """The curve values as an (n, 24) float array.
+
+        Built on the first call and kept; it is read-only, because every
+        later call returns the same array.
+        """
+        m = self.__dict__.get("_matrix")
+        if m is None:
+            m = np.asarray([c.values for c in self.curves], dtype=float)
+            m.setflags(write=False)
+            object.__setattr__(self, "_matrix", m)
+        return m
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ DTW is not a metric: it violates the triangle inequality, so nothing
 downstream may index or prune by it. It is symmetric and non-negative,
 which is all the clustering here relies on.
 
-``cluster_medoids`` is the one medoid rule, for hierarchy cuts and
-k-medoids alike.
+``medoid`` is the one medoid rule, for hierarchy cuts and k-medoids
+alike.
 """
 
 from __future__ import annotations
@@ -354,24 +354,35 @@ class DistanceMatrix:
         return sq
 
 
-def cluster_medoids(square: np.ndarray, labels, k: int) -> tuple[list, float]:
-    """Each cluster's medoid and the total member-to-medoid distance.
+def medoid(square: np.ndarray, members: np.ndarray) -> tuple[int, np.ndarray]:
+    """The medoid of one cluster and each member's distance to it.
 
-    ``square`` is symmetric with a zero diagonal. A medoid is the member
-    with the smallest summed distance to its co-members, ties to the lowest
-    index. Those sums are column sums of the gathered member rows, which
-    numpy adds one row at a time in member order: the bits of a
-    left-to-right loop (a row sum would add pairwise and round differently).
-    ``cumsum`` adds the objective strictly in cluster, then member order.
+    ``square`` is symmetric with a zero diagonal and ``members`` holds the
+    cluster's indices in ascending order. The medoid is the member with the
+    smallest summed distance to its co-members, ties to the lowest index.
+    Those sums are column sums of the gathered member rows, which numpy
+    adds one row at a time in member order: the bits of a left-to-right
+    loop (a row sum would add pairwise and round differently).
     """
+    sums = square[members].sum(axis=0)[members]
+    best = int(members[np.argmin(sums)])
+    return best, square[members, best]
+
+
+def total_distance(gaps) -> float:
+    """The entries of the per-cluster distance arrays ``medoid`` returns,
+    added strictly in cluster, then member order (``cumsum`` adds one at a
+    time)."""
+    return float(np.cumsum(np.concatenate(gaps))[-1])
+
+
+def cluster_medoids(square: np.ndarray, labels, k: int) -> tuple[list, float]:
+    """Each cluster's ``medoid`` and the ``total_distance`` of every member
+    to its medoid, for labels 0..k-1."""
     labels = np.asarray(labels)
-    medoids, gaps = [], []
-    for c in range(k):
-        members = np.flatnonzero(labels == c)
-        sums = square[members].sum(axis=0)[members]
-        medoids.append(int(members[np.argmin(sums)]))
-        gaps.append(square[members, medoids[-1]])
-    return medoids, float(np.cumsum(np.concatenate(gaps))[-1])
+    medoids, gaps = zip(*(medoid(square, np.flatnonzero(labels == c))
+                          for c in range(k)))
+    return list(medoids), total_distance(gaps)
 
 
 #: Pairs per batch in ``pairwise_matrix``. A batch's arrays are a few

@@ -28,9 +28,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ahc import LINKAGES, build_dendrogram, cut
+from .ahc import LINKAGES, build_dendrogram, cut, cut_range
 from .distance import (MetricConfig, UnnormalizedDataWarning,
-                       paired_distances, pairwise_matrix, stack_curves)
+                       paired_distances, pairwise_matrix)
 from .io import read_csv, read_sidecar, sidecar_path, write_csv
 from .partitional import FitError, gmm_em, kmeans, kmedoids
 from .results import MEDOID_INDEX, ClusteringResult, FitOptions, FitParams
@@ -87,8 +87,8 @@ def wcbcr(result: ClusteringResult, dataset) -> float:
             UnnormalizedDataWarning,
             stacklevel=2,
         )
-    curves = stack_curves(c.values for c in dataset)
-    protos = stack_curves(prototypes(result, dataset))
+    protos = np.asarray(prototypes(result, dataset), dtype=float)
+    curves = dataset.to_matrix()
     euclidean = MetricConfig(EVALUATION_METRIC)
     # one batch per sum; cumsum then adds strictly left to right, the bits
     # of a += loop over curves and over prototype pairs (a, b), a < b
@@ -218,8 +218,9 @@ def sweep(dataset, spec: MethodSpec, k_min: int, k_max: int,
 
     The distance matrix (matrix methods) and the dendrogram (ahc) are built
     exactly once and shared across all cuts/fits; a precomputed ``matrix``
-    skips even that. A fit that fails at some k becomes a diagnostic line,
-    not an abort; deterministic throughout.
+    skips even that. Every k of an ahc sweep is cut in one ``cut_range``
+    pass, after the build has freed its working square. A fit that fails at
+    some k becomes a diagnostic line, not an abort; deterministic throughout.
     """
     n = len(dataset)
     if not (2 <= k_min <= k_max <= n):
@@ -228,17 +229,23 @@ def sweep(dataset, spec: MethodSpec, k_min: int, k_max: int,
         )
     if matrix is not None and spec.method not in MATRIX_METHODS:
         raise ValueError(f"{spec.method} does not use a distance matrix")
-    dendrogram = None
+    dendrogram, cuts = None, {}
     if spec.method in MATRIX_METHODS and matrix is None:
         matrix = pairwise_matrix(dataset, spec.metric)
     if spec.method == "ahc":
         dendrogram = build_dendrogram(matrix, spec.linkage, spec.size_weighted)
+        try:
+            cuts = dict(zip(range(k_min, k_max + 1),
+                            cut_range(dendrogram, k_min, k_max, matrix)))
+        except ValueError:
+            pass  # an objective overflowed: cut k by k, so only its k fails
 
     rows = []
     diagnostics = []
     for k in range(k_min, k_max + 1):
         try:
-            result = fit(dataset, spec, k, matrix=matrix, dendrogram=dendrogram)
+            result = cuts.get(k) or fit(dataset, spec, k, matrix=matrix,
+                                        dendrogram=dendrogram)
             rows.append((k, wcbcr(result, dataset)))
         except (ValueError, FitError) as e:
             diagnostics.append(f"k={k}: {e}")

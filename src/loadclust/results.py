@@ -202,22 +202,41 @@ RESULT_FIELDS = {
 }
 
 
+#: The method descriptor fields the loader reads, and the JSON type of each.
+DESCRIPTOR_FIELDS = {"algorithm": (str,), "prototype_kind": (str,),
+                     "metric": (str,), "window": (int,), "linkage": (str,),
+                     "init": (str,)}
+
+
+def _check_types(name: str, values, want: tuple) -> None:
+    for v in values:
+        if type(v) not in want:
+            raise ValueError(f"{name} has the wrong type: {v!r}")
+
+
 def load_result(path) -> ClusteringResult:
     """Rebuild a result from its JSON export.
 
     The trace is not serialized, so round-tripped results compare equal on
     everything except ``trace``. A file that is not JSON, not an object,
     lacks a field or holds a value of the wrong type or range raises one
-    ValueError naming it.
+    ValueError naming it. Types are checked inside the fields too: the
+    descriptor's fields, each label and each medoid index (an int, not a
+    bool or a float).
     """
     doc = read_json(path, RESULT_FIELDS)
     try:
         for key, types in RESULT_FIELDS.items():
-            if type(doc[key]) not in types:
-                raise ValueError(f"{key} has the wrong type: {doc[key]!r}")
+            _check_types(key, (doc[key],), types)
         desc = doc["method"]
         if not {"algorithm", "prototype_kind"} <= desc.keys():
             raise ValueError("method must hold algorithm and prototype_kind")
+        for key, types in DESCRIPTOR_FIELDS.items():
+            if key in desc:
+                _check_types(f"method {key}", (desc[key],), types)
+        _check_types("an assignment", doc["assignments"], (int,))
+        if desc["prototype_kind"] == MEDOID_INDEX:
+            _check_types("a medoid index", doc["prototypes"], (int,))
         metric = None
         if "metric" in desc:
             metric = MetricConfig(desc["metric"], desc.get("window", 4))

@@ -210,6 +210,80 @@ def dict_build_oracle(matrix, linkage: str = "average",
     return Dendrogram(n, linkage, tuple(merges), matrix.metric)
 
 
+def lazy_build_oracle(matrix, linkage: str = "average",
+                      size_weighted: bool = False):
+    """The nearest-neighbour-cache ``build_dendrogram`` with a lazy start:
+    every row starts stale with a bound of -inf and is rescanned one at a
+    time before the first merge.
+
+    Kept verbatim as the bitwise reference for the library's build, whose
+    eager start sets every row's nearest partner in one pass: same merges,
+    sizes and height bits.
+    """
+    from loadclust.ahc import LINKAGES, Dendrogram, MergeStep
+    if linkage not in LINKAGES:
+        raise ValueError(f"unknown linkage {linkage!r}, expected one of {LINKAGES}")
+    n = matrix.n
+    if n < 2:
+        raise ValueError("need at least 2 curves to build a dendrogram")
+    if not np.all(np.isfinite(matrix.condensed)):
+        raise ValueError("distance matrix contains non-finite entries")
+
+    dist = matrix.to_square()
+    ids = np.arange(n)  # cluster id per slot, -1 once retired
+    sizes = [1] * n
+    nd = np.full(n, -math.inf)
+    nn = np.zeros(n, dtype=np.intp)
+    stale = np.ones(n, dtype=bool)
+
+    merges = []
+    # overflow to inf is silent, as it is for Python floats
+    with np.errstate(over="ignore"):
+        for t in range(n - 1):
+            while True:
+                h = nd.min()
+                if h == math.inf:
+                    raise ValueError("every remaining linkage distance "
+                                     "overflowed to inf")
+                tied = np.flatnonzero(nd == h)
+                sa = int(tied[np.argmin(ids[tied])])
+                if not stale[sa]:
+                    break
+                row = np.where(ids > ids[sa], dist[sa], math.inf)
+                tied = np.flatnonzero(row == row.min())
+                nn[sa] = tied[np.argmin(ids[tied])]
+                nd[sa] = row[nn[sa]]
+                stale[sa] = False
+            sb = int(nn[sa])
+            new_size = sizes[sa] + sizes[sb]
+            merges.append(MergeStep(int(ids[sa]), int(ids[sb]), float(h),
+                                    new_size))
+
+            da, db = dist[sa], dist[sb]
+            if linkage == "single":
+                row = np.where(da < db, da, db)
+            elif linkage == "complete":
+                row = np.where(da > db, da, db)
+            elif size_weighted:
+                row = (sizes[sa] * da + sizes[sb] * db) / new_size
+            else:
+                row = (da + db) / 2.0
+            dist[sb] = row
+            dist[:, sb] = row
+            ids[sa] = -1
+            ids[sb] = n + t
+            sizes[sb] = new_size
+            nd[sa] = nd[sb] = math.inf
+            stale |= (nn == sa) | (nn == sb)
+            closer = (row < nd) & (ids >= 0)
+            closer[sb] = False
+            nd[closer] = row[closer]
+            nn[closer] = sb
+            stale[closer] = False
+
+    return Dendrogram(n, linkage, tuple(merges), matrix.metric)
+
+
 def kmeans_single_oracle(X, k, seed, init, max_iterations, tolerance):
     """The original ``_kmeans_single``: every centroid and every distance
     column recomputed on every Lloyd iteration.

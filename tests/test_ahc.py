@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from loadclust import (Dendrogram, DistanceMatrix, MergeStep, MetricConfig,
-                       build_dendrogram, cut)
-from loadclust.ahc import LINKAGES
+                       build_dendrogram, cut, result_to_json)
+from loadclust.ahc import LINKAGES, cut_range
 from loadclust.distance import cluster_medoids
 
-from conftest import (dict_build_oracle, embed_1d, linkage_oracle,
-                      random_square, square_to_matrix, wpgma_pair_weights)
+from conftest import (dict_build_oracle, embed_1d, lazy_build_oracle,
+                      linkage_oracle, random_square, square_to_matrix,
+                      wpgma_pair_weights)
 
 
 class TestMergeStep:
@@ -307,6 +308,24 @@ class TestCut:
         with pytest.raises(ValueError, match="leaves"):
             cut(d, 2, small)
 
+    def test_matrix_of_another_metric_rejected(self, built):
+        m, d = built
+        dtw_tree = build_dendrogram(DistanceMatrix(m.n, m.condensed), "average")
+        assert dtw_tree.merges == d.merges
+        with pytest.raises(ValueError, match="built under"):
+            cut(dtw_tree, 2, m)
+        with pytest.raises(ValueError, match="built under"):
+            cut_range(dtw_tree, 2, 4, m)
+        with pytest.raises(ValueError, match="built under"):
+            cut(d, 2, square_to_matrix(m.to_square(),
+                                       MetricConfig("euclidean", 1)))
+
+    def test_bad_range(self, built):
+        m, d = built
+        for lo, hi in [(0, 3), (2, 6), (4, 3)]:
+            with pytest.raises(ValueError, match="k must be"):
+                cut_range(d, lo, hi, m)
+
 
 def medoid_oracle(matrix, members):
     """The Python-loop medoid: summed get() distances, strict < keeps the
@@ -485,3 +504,67 @@ class TestBuildAgainstDictOracle:
     def test_small_integer_matrices(self, condensed):
         n = int(round((1 + math.sqrt(1 + 8 * len(condensed))) / 2))
         self.check(DistanceMatrix(n, np.asarray(condensed, dtype=float)))
+
+
+class TestCutRange:
+    """One pass over all k must give every k the bytes of a fresh cut."""
+
+    def check(self, matrix, rng):
+        n = matrix.n
+        for linkage, size_weighted in BUILD_CONFIGS:
+            d = build_dendrogram(matrix, linkage, size_weighted)
+            fresh = [result_to_json(cut(d, k, matrix)) for k in range(1, n + 1)]
+            assert [result_to_json(r) for r in cut_range(d, 1, n, matrix)] == fresh
+            lo, hi = sorted(int(k) for k in rng.integers(1, n + 1, size=2))
+            assert ([result_to_json(r) for r in cut_range(d, lo, hi, matrix)]
+                    == fresh[lo - 1:hi])
+
+    def test_order_sensitive_matrices(self):
+        rng = np.random.default_rng(1000)
+        for _ in range(30):
+            self.check(square_to_matrix(absorbing_square(rng, int(rng.integers(2, 20)))),
+                       rng)
+
+    def test_tie_heavy_matrices(self):
+        rng = np.random.default_rng(1001)
+        for _ in range(20):
+            self.check(square_to_matrix(random_square(rng, int(rng.integers(2, 16)),
+                                                      integer=True)), rng)
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(1002)
+        for _ in range(20):
+            self.check(square_to_matrix(random_square(rng, int(rng.integers(2, 16)))),
+                       rng)
+
+    def test_noisy_matrix(self, noisy_matrix):
+        self.check(noisy_matrix, np.random.default_rng(1003))
+
+
+class TestBuildAgainstLazyStart:
+    """The eager nearest-neighbour start must give the merges and height
+    bits of the lazy start it replaced, under all four configurations."""
+
+    @given(st.integers(min_value=2, max_value=40).flatmap(
+        lambda n: st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0]),
+                           min_size=n * (n - 1) // 2,
+                           max_size=n * (n - 1) // 2)))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_tie_heavy_integer_matrices(self, condensed):
+        n = int(round((1 + math.sqrt(1 + 8 * len(condensed))) / 2))
+        matrix = DistanceMatrix(n, np.asarray(condensed))
+        for linkage, size_weighted in BUILD_CONFIGS:
+            got = build_dendrogram(matrix, linkage, size_weighted)
+            expect = lazy_build_oracle(matrix, linkage, size_weighted)
+            assert merge_bits(got) == merge_bits(expect), (linkage, size_weighted)
+
+    def test_start_spans_several_row_blocks(self, monkeypatch):
+        import loadclust.ahc as ahc
+        monkeypatch.setattr(ahc, "_NN_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(1004)
+        for n in (2, 7, 8, 30, 61):
+            matrix = square_to_matrix(random_square(rng, n, integer=True))
+            for linkage, size_weighted in BUILD_CONFIGS:
+                assert (merge_bits(build_dendrogram(matrix, linkage, size_weighted))
+                        == merge_bits(lazy_build_oracle(matrix, linkage,
+                                                        size_weighted)))

@@ -177,6 +177,16 @@ class TestDataset:
         assert list(ds) == list(cs)
         assert ds.to_matrix().shape == (3, 24)
 
+    def test_matrix_is_built_once_and_read_only(self):
+        cs = tuple(make_curve([i] * 23 + [i + 1.0], hid=f"h{i}") for i in range(3))
+        ds = Dataset(cs)
+        m = ds.to_matrix()
+        assert ds.to_matrix() is m
+        assert m.tolist() == [list(c.values) for c in cs]
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 5.0
+        assert ds == Dataset(cs)
+
 
 class TestNormalizeDataset:
     def test_per_curve(self):

@@ -7,11 +7,12 @@ import pytest
 
 import loadclust.evaluation as ev
 from loadclust import (ClusteringResult, Dataset, DegenerateClusteringError,
-                       DegenerateElbowWarning, MethodSpec, MetricConfig,
-                       SweepReport, UnnormalizedDataWarning, build_dendrogram,
-                       cut, elbow, fit, kmeans, load_sweep, pairwise_matrix,
-                       pointwise_distance, prototypes, save_sweep, save_table,
-                       sweep, sweep_table, wcbcr, z_normalize)
+                       DegenerateElbowWarning, DistanceMatrix, MethodSpec,
+                       MetricConfig, SweepReport, UnnormalizedDataWarning,
+                       build_dendrogram, cut, elbow, fit, kmeans, load_sweep,
+                       pairwise_matrix, pointwise_distance, prototypes,
+                       save_sweep, save_table, sweep, sweep_table, wcbcr,
+                       z_normalize)
 from loadclust.ahc import LINKAGES
 from loadclust.results import FitOptions
 
@@ -290,6 +291,22 @@ class TestSweep:
         assert all("degenerate" in d for d in report.diagnostics)
         for k, line in zip((2, 3, 4), report.diagnostics):
             assert line.startswith(f"k={k}:")
+
+    def test_overflowing_objective_fails_only_its_k(self):
+        # {0,1} and {2,3} join at 1e308 under single linkage, so the k=2
+        # cut's member-to-medoid total overflows; k=3 and k=4 still score
+        huge, far = 1e308, 1.7e308
+        square = [[0, 1, huge, huge, far], [1, 0, huge, huge, far],
+                  [huge, huge, 0, 1, far], [huge, huge, 1, 0, far],
+                  [far, far, far, far, 0]]
+        n = len(square)
+        m = DistanceMatrix(n, np.asarray(square)[np.triu_indices(n, 1)])
+        ds = embed_1d([0.0, 1.0, 5.0, 6.0, 20.0], normalized=True)
+        with np.errstate(over="ignore"):
+            report = sweep(ds, MethodSpec("ahc", linkage="single"), 2, 4,
+                           matrix=m)
+        assert report.ks() == (3, 4)
+        assert report.diagnostics == ("k=2: objective must be finite",)
 
     def test_k_range_validation(self, noisy_dataset):
         ds, _ = noisy_dataset

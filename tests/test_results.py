@@ -139,6 +139,10 @@ class TestResultJson:
         'converged="yes"', "iterations=true", 'seed="0"', 'objective="1.5"',
         'method="kmedoids"', 'assignments={"0": 0}', "assignments=[0, 7, 1]",
         "prototypes=5", 'method={"algorithm": "kmedoids"}',
+        'method={"algorithm": 5, "prototype_kind": "medoid-index"}',
+        'method={"algorithm": "ahc", "prototype_kind": "medoid-index", '
+        '"linkage": [1]}',
+        "assignments=[0.7, 0.2, 1.9]", "prototypes=[0.5, 2.9]",
     ])
     def test_damaged_file_is_one_error_naming_it(self, tmp_path, how):
         p = tmp_path / "r.json"
