@@ -29,8 +29,8 @@ import warnings
 
 from .curves import PER_CURVE, PER_HOUR, RAW, SyntheticSpec, generate_synthetic, \
     normalize_dataset, reshape_readings
-from .distance import METRIC_KINDS, MetricConfig, load_matrix, pairwise_matrix, \
-    save_matrix
+from .distance import METRIC_KINDS, MetricConfig, check_matrix, load_matrix, \
+    pairwise_matrix, save_matrix
 from .evaluation import (MATRIX_METHODS, METHODS, DegenerateClusteringError,
                          DegenerateElbowWarning, MethodSpec, elbow, fit,
                          load_sweep, save_sweep, sweep, wcbcr)
@@ -193,15 +193,10 @@ def _prepare_matrix(args, spec: MethodSpec, dataset):
         return None
     if args.load_matrix:
         matrix = load_matrix(args.load_matrix)
-        if matrix.n != len(dataset):
-            raise ConfigError(
-                f"cached matrix is for {matrix.n} curves, dataset has {len(dataset)}"
-            )
-        if matrix.metric != spec.metric:
-            raise ConfigError(
-                f"cached matrix was built with {matrix.metric.label()}, "
-                f"run asks for {spec.metric.label()}"
-            )
+        try:
+            check_matrix(matrix, len(dataset), spec.metric)
+        except ValueError as e:
+            raise ConfigError(f"cached {e}") from e
     else:
         matrix = pairwise_matrix(dataset, spec.metric)
     if args.save_matrix:

@@ -26,7 +26,8 @@ downstream may index or prune by it. It is symmetric and non-negative,
 which is all the clustering here relies on.
 
 ``medoid`` is the one medoid rule, for hierarchy cuts and k-medoids
-alike.
+alike, and ``check_matrix`` the one rule for whether a matrix passed in by
+a caller belongs to a run: same number of curves, same metric.
 """
 
 from __future__ import annotations
@@ -188,37 +189,13 @@ def pointwise_distance(x, y, kind: str = "euclidean") -> float:
     raise ValueError(f"unknown pointwise metric {kind!r}")
 
 
-def stack_curves(rows) -> np.ndarray:
-    """Stack equal-length series into an (n, length) float array.
-
-    The validation every batched kernel relies on, done once per dataset
-    instead of once per pair: raises ValueError for no rows, empty or
-    ragged rows, and non-finite values, naming the first offending row.
-    """
-    rows = list(rows)
-    if not rows:
-        raise ValueError("need at least one series")
-    length = len(rows[0])
-    if length == 0:
-        raise ValueError("series must be non-empty")
-    for i, r in enumerate(rows):
-        if len(r) != length:
-            raise ValueError(
-                f"series {i} has {len(r)} values, series 0 has {length}"
-            )
-    out = np.asarray(rows, dtype=float)
-    bad = ~np.isfinite(out).all(axis=1)
-    if bad.any():
-        raise ValueError(f"non-finite value in series {int(np.argmax(bad))}")
-    return out
-
-
 def paired_distances(xs: np.ndarray, ys: np.ndarray,
                      metric: MetricConfig) -> np.ndarray:
     """``metric.distance(xs[p], ys[p])`` for every row p, in one batch.
 
-    ``xs`` and ``ys`` are equal-shape (pairs, length) arrays as returned by
-    ``stack_curves``. Every entry equals the scalar function's, bit for bit.
+    ``xs`` and ``ys`` are equal-shape (pairs, length) arrays of finite
+    values, such as rows of ``Dataset.to_matrix()``. Every entry equals the
+    scalar function's, bit for bit.
     Overflow is silent, as it is for Python floats: a huge difference
     squares to inf in both.
     """
@@ -354,6 +331,19 @@ class DistanceMatrix:
         return sq
 
 
+def check_matrix(matrix: DistanceMatrix, n: int,
+                 metric: MetricConfig | None) -> DistanceMatrix:
+    """``matrix``, once it is known to hold n curves and, unless ``metric``
+    is None, to have been built under ``metric``; else a one-line
+    ValueError naming both sides."""
+    if matrix.n != n:
+        raise ValueError(f"matrix is for {matrix.n} curves, dataset has {n}")
+    if metric is not None and matrix.metric != metric:
+        raise ValueError(f"matrix was built with {matrix.metric.label()}, "
+                         f"run asks for {metric.label()}")
+    return matrix
+
+
 def medoid(square: np.ndarray, members: np.ndarray) -> tuple[int, np.ndarray]:
     """The medoid of one cluster and each member's distance to it.
 
@@ -405,13 +395,14 @@ def _pair_blocks(n: int):
 
 
 def pairwise_matrix(dataset, metric: MetricConfig | None = None) -> DistanceMatrix:
-    """All pairwise distances for a dataset under one metric config.
+    """All pairwise distances for a ``Dataset`` under one metric config.
 
-    The dataset is stacked and validated once (``stack_curves``); ragged
-    or non-finite curves raise ValueError. The condensed vector is then
-    filled in fixed-size batches of consecutive pairs, each computed by the
-    batched kernels, so every entry equals ``metric.distance`` on its pair
-    bit for bit and the result is byte-reproducible.
+    The curves come from the dataset's cached stack, ``to_matrix()``, whose
+    rows ``LoadCurve`` has already checked to be 24 finite values. The
+    condensed vector is filled in fixed-size batches of consecutive pairs,
+    each computed by the batched kernels, so every entry equals
+    ``metric.distance`` on its pair bit for bit and the result is
+    byte-reproducible.
 
     Shape metrics on a raw dataset almost always mean a missing
     normalization step; that raises ``UnnormalizedDataWarning`` but still
@@ -423,7 +414,7 @@ def pairwise_matrix(dataset, metric: MetricConfig | None = None) -> DistanceMatr
     n = len(dataset)
     if n < 2:
         raise ValueError("need at least 2 curves for a distance matrix")
-    if getattr(dataset, "normalization", None) == "raw" and cfg.kind != "cosine":
+    if dataset.normalization == "raw" and cfg.kind != "cosine":
         warnings.warn(
             f"computing {cfg.kind} distances on unnormalized curves; "
             "shape comparison normally requires z-normalization first",
@@ -432,7 +423,7 @@ def pairwise_matrix(dataset, metric: MetricConfig | None = None) -> DistanceMatr
         )
     # Stored hour-major, so a batch gathered as cols[:, i] is already laid
     # out the way paired_distances wants, and its .T costs no copy there.
-    cols = np.ascontiguousarray(stack_curves(c.values for c in dataset).T)
+    cols = np.ascontiguousarray(dataset.to_matrix().T)
     out = np.empty(n * (n - 1) // 2, dtype=float)
     for start, i, j in _pair_blocks(n):
         out[start:start + len(i)] = paired_distances(cols[:, i].T,

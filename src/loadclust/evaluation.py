@@ -29,8 +29,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .ahc import LINKAGES, build_dendrogram, cut, cut_range
-from .distance import (MetricConfig, UnnormalizedDataWarning,
-                       paired_distances, pairwise_matrix)
+from .distance import (MetricConfig, UnnormalizedDataWarning, check_matrix,
+                       paired_distances, pairwise_matrix, total_distance)
 from .io import read_csv, read_sidecar, sidecar_path, write_csv
 from .partitional import FitError, gmm_em, kmeans, kmedoids
 from .results import MEDOID_INDEX, ClusteringResult, FitOptions, FitParams
@@ -90,14 +90,14 @@ def wcbcr(result: ClusteringResult, dataset) -> float:
     protos = np.asarray(prototypes(result, dataset), dtype=float)
     curves = dataset.to_matrix()
     euclidean = MetricConfig(EVALUATION_METRIC)
-    # one batch per sum; cumsum then adds strictly left to right, the bits
-    # of a += loop over curves and over prototype pairs (a, b), a < b
+    # one batch per sum, added strictly left to right: the bits of a +=
+    # loop over curves and over prototype pairs (a, b), a < b
     within = paired_distances(curves, protos[np.asarray(result.assignments)],
                               euclidean)
     a, b = np.triu_indices(result.k, 1)
     between = paired_distances(protos[a], protos[b], euclidean)
-    numerator = float(np.cumsum(within)[-1])
-    denominator = float(np.cumsum(between)[-1])
+    numerator = total_distance([within])
+    denominator = total_distance([between])
     if denominator == 0.0:
         raise DegenerateClusteringError(
             "all cluster prototypes are identical; the clustering is degenerate"
@@ -156,17 +156,31 @@ class MethodSpec(FitParams):
                                   for f in fields(FitParams)})
 
 
+def _matrix(dataset, spec: MethodSpec, matrix):
+    """The matrix a run of ``spec`` clusters through: None for a vector
+    method, which refuses one; else the caller's, once ``check_matrix``
+    accepts it, or a new ``pairwise_matrix``."""
+    if spec.method not in MATRIX_METHODS:
+        if matrix is not None:
+            raise ValueError(f"{spec.method} does not use a distance matrix")
+        return None
+    if matrix is None:
+        return pairwise_matrix(dataset, spec.metric)
+    return check_matrix(matrix, len(dataset), spec.metric)
+
+
 def fit(dataset, spec: MethodSpec, k: int,
         matrix=None, dendrogram=None) -> ClusteringResult:
     """Run one clustering at one k under a MethodSpec.
 
     For the matrix methods, a precomputed ``matrix`` (and for ahc a
     prebuilt ``dendrogram``) short-circuits the expensive steps; sweep
-    exploits this to build each at most once.
+    exploits this to build each at most once. A ``matrix`` for another
+    number of curves or another metric, or one given to a vector method,
+    raises ValueError.
     """
+    matrix = _matrix(dataset, spec, matrix)
     if spec.method == "ahc":
-        if matrix is None:
-            matrix = pairwise_matrix(dataset, spec.metric)
         if dendrogram is None:
             dendrogram = build_dendrogram(matrix, spec.linkage,
                                           spec.size_weighted)
@@ -176,8 +190,7 @@ def fit(dataset, spec: MethodSpec, k: int,
     if spec.method == "kmeanspp":
         return kmeans(dataset, spec.options(k), init="plusplus")
     if spec.method == "kmedoids":
-        return kmedoids(dataset, spec.options(k), metric=spec.metric,
-                        matrix=matrix)
+        return kmedoids(dataset, spec.options(k), matrix=matrix)
     return gmm_em(dataset, spec.options(k))
 
 
@@ -218,20 +231,18 @@ def sweep(dataset, spec: MethodSpec, k_min: int, k_max: int,
 
     The distance matrix (matrix methods) and the dendrogram (ahc) are built
     exactly once and shared across all cuts/fits; a precomputed ``matrix``
-    skips even that. Every k of an ahc sweep is cut in one ``cut_range``
-    pass, after the build has freed its working square. A fit that fails at
-    some k becomes a diagnostic line, not an abort; deterministic throughout.
+    skips even that, and is refused where ``fit`` would refuse it. Every k
+    of an ahc sweep is cut in one ``cut_range`` pass, after the build has
+    freed its working square. A fit that fails at some k becomes a
+    diagnostic line, not an abort; deterministic throughout.
     """
     n = len(dataset)
     if not (2 <= k_min <= k_max <= n):
         raise ValueError(
             f"need 2 <= k_min <= k_max <= {n}, got [{k_min}, {k_max}]"
         )
-    if matrix is not None and spec.method not in MATRIX_METHODS:
-        raise ValueError(f"{spec.method} does not use a distance matrix")
+    matrix = _matrix(dataset, spec, matrix)
     dendrogram, cuts = None, {}
-    if spec.method in MATRIX_METHODS and matrix is None:
-        matrix = pairwise_matrix(dataset, spec.metric)
     if spec.method == "ahc":
         dendrogram = build_dendrogram(matrix, spec.linkage, spec.size_weighted)
         try:

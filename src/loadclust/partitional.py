@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from .distance import (DistanceMatrix, MetricConfig, cluster_medoids,
-                       pairwise_matrix)
+from .distance import (DistanceMatrix, MetricConfig, check_matrix,
+                       cluster_medoids, pairwise_matrix)
 from .results import MEDOID_INDEX, VECTOR, ClusteringResult, FitOptions
 
 INITS = ("random", "plusplus")
@@ -198,17 +198,14 @@ def kmeans(dataset, options: FitOptions, init: str = "random") -> ClusteringResu
         raise ValueError(f"init must be one of {INITS}, got {init!r}")
     X = _checked_matrix(dataset, options.k)
 
-    best = None
-    for r in range(options.restarts):
-        if init == "plusplus":
-            run = _plusplus_run(X, options.k, options.seed + r,
-                                options.max_iterations, options.tolerance)
-        else:
-            run = _kmeans_single(X, options.k, options.seed + r, init,
-                                 options.max_iterations, options.tolerance)
-        if best is None or run[2][-1] < best[2][-1]:
-            best = run
-    labels, centroids, trace, iterations, converged = best
+    runs = (_plusplus_run(X, options.k, options.seed + r,
+                          options.max_iterations, options.tolerance)
+            if init == "plusplus" else
+            _kmeans_single(X, options.k, options.seed + r, init,
+                           options.max_iterations, options.tolerance)
+            for r in range(options.restarts))
+    labels, centroids, trace, iterations, converged = min(
+        runs, key=lambda run: run[2][-1])
     return ClusteringResult(
         method="kmeans",
         k=options.k,
@@ -270,24 +267,24 @@ def kmedoids(dataset, options: FitOptions,
     """Voronoi-iteration K-medoids over a precomputed distance matrix.
 
     The matrix is computed from ``metric`` (default: dtw, window 4) unless
-    one is supplied directly; either way clustering never touches the raw
-    vectors again, which is what makes a non-Euclidean metric affordable
-    here. Prototypes are medoid indices into the dataset.
+    one is supplied directly, which ``check_matrix`` must accept for the
+    dataset and, when ``metric`` is given, for that metric too. Either way
+    clustering never touches the raw vectors again, which is what makes a
+    non-Euclidean metric affordable here. Prototypes are medoid indices
+    into the dataset.
     """
     n = len(_checked_matrix(dataset, options.k))
     if matrix is None:
         matrix = pairwise_matrix(dataset, metric or MetricConfig())
-    elif matrix.n != n:
-        raise ValueError(f"matrix is for {matrix.n} curves, dataset has {n}")
+    else:
+        check_matrix(matrix, n, metric)
     S = matrix.to_square()
 
-    best = None
-    for r in range(options.restarts):
-        run = _kmedoids_single(S, options.k, options.seed + r,
-                               options.max_iterations)
-        if best is None or run[2][-1] < best[2][-1]:
-            best = run
-    labels, medoids, trace, iterations, converged = best
+    labels, medoids, trace, iterations, converged = min(
+        (_kmedoids_single(S, options.k, options.seed + r,
+                          options.max_iterations)
+         for r in range(options.restarts)),
+        key=lambda run: run[2][-1])
 
     # label c is the cluster of medoids[c]: labels are argmin positions into
     # the sorted medoid array, so no relabeling is needed
@@ -453,13 +450,10 @@ def gmm_em(dataset, options: FitOptions) -> ClusteringResult:
     """
     X = _checked_matrix(dataset, options.k)
 
-    best = None
-    for r in range(options.restarts):
-        run = _gmm_single(X, options.k, options.seed + r, options)
-        if run is None:
-            continue
-        if best is None or run[5] > best[5]:
-            best = run
+    runs = (_gmm_single(X, options.k, options.seed + r, options)
+            for r in range(options.restarts))
+    best = max((run for run in runs if run is not None),
+               key=lambda run: run[5], default=None)
     if best is None:
         raise FitError(
             f"gaussian mixture failed on all {options.restarts} restarts "

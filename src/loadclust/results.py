@@ -222,7 +222,8 @@ def load_result(path) -> ClusteringResult:
     lacks a field or holds a value of the wrong type or range raises one
     ValueError naming it. Types are checked inside the fields too: the
     descriptor's fields, each label and each medoid index (an int, not a
-    bool or a float).
+    bool or a float), and each vector prototype (a list of ints and
+    floats, no strings or bools).
     """
     doc = read_json(path, RESULT_FIELDS)
     try:
@@ -237,6 +238,10 @@ def load_result(path) -> ClusteringResult:
         _check_types("an assignment", doc["assignments"], (int,))
         if desc["prototype_kind"] == MEDOID_INDEX:
             _check_types("a medoid index", doc["prototypes"], (int,))
+        elif desc["prototype_kind"] == VECTOR:
+            _check_types("a prototype", doc["prototypes"], (list,))
+            for p in doc["prototypes"]:
+                _check_types("a prototype entry", p, (int, float))
         metric = None
         if "metric" in desc:
             metric = MetricConfig(desc["metric"], desc.get("window", 4))

@@ -3,7 +3,6 @@ import math
 import tempfile
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -17,8 +16,8 @@ from loadclust import (Dataset, DistanceMatrix, MetricConfig,
                        normalize_dataset, pairwise_matrix,
                        pointwise_distance, save_matrix)
 import loadclust.distance as distance
-from loadclust.distance import (cluster_medoids, condensed_index,
-                                paired_distances)
+from loadclust.distance import (check_matrix, cluster_medoids,
+                                condensed_index, paired_distances)
 
 from conftest import dtw_oracle, make_curve
 
@@ -378,22 +377,33 @@ class TestBatchedAgainstScalar:
         got = pairwise_matrix(curve_dataset(rows), cfg).condensed
         assert np.array_equal(bits(got), bits(scalar_matrix(rows, cfg)))
 
-    def test_rejects_ragged_and_non_finite_curves(self):
-        # LoadCurve already refuses both, so use bare objects with .values
-        ragged = [SimpleNamespace(values=[0.0] * 24),
-                  SimpleNamespace(values=[0.0] * 23)]
-        with pytest.raises(ValueError, match="series 1 has 23 values"):
-            pairwise_matrix(ragged, MetricConfig("euclidean"))
-        for bad in (math.nan, math.inf):
-            rows = [SimpleNamespace(values=[0.0] * 24) for _ in range(3)]
-            rows[2] = SimpleNamespace(values=[0.0] * 23 + [bad])
-            with pytest.raises(ValueError, match="non-finite value in series 2"):
-                pairwise_matrix(rows, MetricConfig("dtw", 4))
-
     def test_paired_distances_rejects_unequal_shapes(self):
         with pytest.raises(ValueError, match="equal-shape"):
             paired_distances(np.zeros((2, 24)), np.zeros((2, 23)),
                              MetricConfig("euclidean"))
+
+
+class TestCheckMatrix:
+    def test_accepts_and_returns_a_matching_matrix(self, noisy_matrix):
+        assert check_matrix(noisy_matrix, 30, MetricConfig("dtw", 4)) \
+            is noisy_matrix
+        # no metric asked for: any metric passes
+        assert check_matrix(noisy_matrix, 30, None) is noisy_matrix
+
+    def test_other_n_names_both_sides(self, noisy_matrix):
+        with pytest.raises(ValueError,
+                           match="^matrix is for 30 curves, dataset has 29$"):
+            check_matrix(noisy_matrix, 29, None)
+
+    @pytest.mark.parametrize("metric,label", [
+        (MetricConfig("dtw", 2), "dtw(w=2)"),
+        (MetricConfig("euclidean"), "euclidean"),
+    ])
+    def test_other_metric_names_both_sides(self, noisy_matrix, metric, label):
+        with pytest.raises(ValueError) as info:
+            check_matrix(noisy_matrix, 30, metric)
+        assert str(info.value) == (f"matrix was built with dtw(w=4), "
+                                   f"run asks for {label}")
 
 
 class TestMatrixFiles:

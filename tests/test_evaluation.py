@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -240,6 +241,42 @@ class TestFitDispatch:
         assert r.method == algorithm
         assert r.init == init
         assert r.k == 3
+
+
+@pytest.fixture(scope="module")
+def foreign_matrices(noisy_dataset):
+    """Matrices that do not belong to a dtw(w=4) run on ``noisy_dataset``:
+    one under another metric, one for another number of curves."""
+    from loadclust import SyntheticSpec, generate_synthetic, normalize_dataset
+    ds, _ = noisy_dataset
+    other, _ = generate_synthetic(SyntheticSpec.default(3, 12), seed=1)
+    return {
+        "matrix was built with euclidean, run asks for dtw(w=4)":
+            pairwise_matrix(ds, MetricConfig("euclidean")),
+        "matrix is for 36 curves, dataset has 30":
+            pairwise_matrix(normalize_dataset(other), MetricConfig("dtw", 4)),
+    }
+
+
+class TestForeignMatrixRefused:
+    """``fit`` and ``sweep`` check a passed-in matrix by one rule."""
+
+    @pytest.mark.parametrize("method", ["ahc", "kmedoids"])
+    def test_fit_and_sweep_refuse_another_n_or_metric(
+            self, noisy_dataset, foreign_matrices, method):
+        ds, _ = noisy_dataset
+        spec = MethodSpec(method, restarts=2)
+        for message, m in foreign_matrices.items():
+            with pytest.raises(ValueError, match=re.escape(message)):
+                fit(ds, spec, 3, matrix=m)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sweep(ds, spec, 2, 4, matrix=m)
+
+    def test_fit_refuses_a_matrix_for_a_vector_method(self, noisy_dataset,
+                                                      noisy_matrix):
+        ds, _ = noisy_dataset
+        with pytest.raises(ValueError, match="kmeans does not use a distance"):
+            fit(ds, MethodSpec("kmeans"), 3, matrix=noisy_matrix)
 
 
 class TestSweep:

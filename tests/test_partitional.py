@@ -384,6 +384,14 @@ class TestKmedoids:
         assert r.objective == 0.0
         assert sorted(r.prototypes) == [0, 1, 2]
 
+    def test_matrix_of_another_metric_refused(self, noisy_dataset,
+                                              noisy_matrix):
+        ds, _ = noisy_dataset
+        with pytest.raises(ValueError, match=r"built with dtw\(w=4\), "
+                                             r"run asks for dtw\(w=2\)"):
+            kmedoids(ds, FitOptions(k=3), metric=MetricConfig("dtw", 2),
+                     matrix=noisy_matrix)
+
     def test_matrix_size_mismatch(self, noisy_matrix):
         ds = embed_1d([0.0, 1.0, 2.0], normalized=True)
         with pytest.raises(ValueError, match="matrix"):

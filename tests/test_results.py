@@ -143,13 +143,18 @@ class TestResultJson:
         'method={"algorithm": "ahc", "prototype_kind": "medoid-index", '
         '"linkage": [1]}',
         "assignments=[0.7, 0.2, 1.9]", "prototypes=[0.5, 2.9]",
+        'vector entry="0.5"', "vector entry=true",
     ])
     def test_damaged_file_is_one_error_naming_it(self, tmp_path, how):
         p = tmp_path / "r.json"
-        save_result(medoid_result(), p)
+        vector = how.startswith("vector ")
+        save_result(vector_result() if vector else medoid_result(), p)
         doc = json.loads(p.read_text())
         if how == "missing method":
             del doc["method"]
+        elif vector:
+            # one entry of an otherwise valid 24-point prototype
+            doc["prototypes"][0][5] = json.loads(how.split("=", 1)[1])
         elif "=" in how:
             key, value = how.split("=", 1)
             doc[key] = json.loads(value)
