@@ -169,6 +169,9 @@ def build_dendrogram(matrix: DistanceMatrix, linkage: str = "average",
         nn[lo:hi] = block.argmin(axis=1)
         nd[lo:hi] = block[np.arange(hi - lo), nn[lo:hi]]
     stale = np.zeros(n, dtype=bool)
+    live = np.ones(n, dtype=bool)  # ids >= 0, kept rather than recomputed
+    # boolean work rows, reused through out= on every merge
+    tied, closer = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
 
     merges = []
     # overflow to inf is silent, as it is for Python floats
@@ -179,13 +182,17 @@ def build_dendrogram(matrix: DistanceMatrix, linkage: str = "average",
                 if h == math.inf:
                     raise ValueError("every remaining linkage distance "
                                      "overflowed to inf")
-                tied = np.flatnonzero(nd == h)
-                sa = int(tied[np.argmin(ids[tied])])
+                np.equal(nd, h, out=tied)
+                if np.count_nonzero(tied) == 1:
+                    sa = int(tied.argmax())
+                else:
+                    at = np.flatnonzero(tied)
+                    sa = int(at[np.argmin(ids[at])])
                 if not stale[sa]:
                     break
                 row = np.where(ids > ids[sa], dist[sa], math.inf)
-                tied = np.flatnonzero(row == row.min())
-                nn[sa] = tied[np.argmin(ids[tied])]
+                at = np.flatnonzero(row == row.min())
+                nn[sa] = at[np.argmin(ids[at])]
                 nd[sa] = row[nn[sa]]
                 stale[sa] = False
             sb = int(nn[sa])
@@ -206,14 +213,17 @@ def build_dendrogram(matrix: DistanceMatrix, linkage: str = "average",
             dist[:, sb] = row
             ids[sa] = -1
             ids[sb] = n + t
+            live[sa] = False
             sizes[sb] = new_size
             nd[sa] = nd[sb] = math.inf
-            stale |= (nn == sa) | (nn == sb)
-            closer = (row < nd) & (ids >= 0)
+            stale |= np.equal(nn, sa, out=closer)
+            stale |= np.equal(nn, sb, out=closer)
+            np.less(row, nd, out=closer)
+            closer &= live
             closer[sb] = False
-            nd[closer] = row[closer]
-            nn[closer] = sb
-            stale[closer] = False
+            np.copyto(nd, row, where=closer)
+            np.copyto(nn, sb, where=closer)
+            stale &= ~closer
 
     return Dendrogram(n, linkage, tuple(merges), matrix.metric)
 
@@ -247,7 +257,7 @@ def cut_range(dendrogram: Dendrogram, k_min: int, k_max: int,
         raise ValueError(
             f"matrix is for {matrix.n} curves but the dendrogram has {n} leaves"
         )
-    if matrix.metric != dendrogram.metric:
+    if not matrix.metric.same_distance(dendrogram.metric):
         raise ValueError(
             f"matrix is {matrix.metric} but the dendrogram was built "
             f"under {dendrogram.metric}"

@@ -87,6 +87,11 @@ class MetricConfig:
             return f"dtw(w={self.window})"
         return self.kind
 
+    def same_distance(self, other: MetricConfig) -> bool:
+        """Whether both configs compute the same distance: the same kind
+        and, for dtw, the same window. Any other kind ignores its window."""
+        return self.label() == other.label()
+
 
 def _validate_series(x, name: str) -> list:
     xs = [float(v) for v in x]
@@ -220,21 +225,31 @@ def _dtw_columns(a, b, window: int) -> np.ndarray:
     prev = np.full((n + 1, pairs), math.inf)
     curr = np.full((n + 1, pairs), math.inf)
     prev[0] = 0.0
+    # each DP row's view, taken once: the cell loop looks rows up in a list
+    # instead of making two fresh ndarray views per cell
+    prev_rows, curr_rows = list(prev), list(curr)
     for i in range(1, n + 1):
         lo = max(1, i - window + 1)
         hi = min(n, i + window - 1)
-        d = a[i - 1] - b[lo - 1:hi]
-        cost = d * d
+        cost = a[i - 1] - b[lo - 1:hi]
+        np.multiply(cost, cost, out=cost)
         # min(prev[j-1], prev[j]) for the whole band row; the horizontal
         # predecessor curr[j-1] depends on the previous cell, so it is
         # folded in cell by cell. min is exact, so the grouping of the
-        # three-way min cannot change a bit.
+        # three-way min cannot change a bit. The band's first cell has the
+        # out-of-band inf on its left, which no min picks, so it is skipped.
         best = np.minimum(prev[lo - 1:hi], prev[lo:hi + 1])
-        curr[lo - 1] = math.inf
-        for c, j in enumerate(range(lo, hi + 1)):
-            np.minimum(best[c], curr[j - 1], out=best[c])
-            np.add(cost[c], best[c], out=curr[j])
+        if lo == 1:
+            # the next row reads curr[0] as its band's left boundary; once
+            # the band has left column 1, no row reads a cell left of it
+            curr[0] = math.inf
+        np.add(cost[0], best[0], out=curr_rows[lo])
+        for cst, bst, left, cell in zip(cost[1:], best[1:], curr_rows[lo:hi],
+                                        curr_rows[lo + 1:hi + 1]):
+            np.minimum(bst, left, out=bst)
+            np.add(cst, bst, out=cell)
         prev, curr = curr, prev
+        prev_rows, curr_rows = curr_rows, prev_rows
     return np.sqrt(prev[n])
 
 
@@ -338,7 +353,7 @@ def check_matrix(matrix: DistanceMatrix, n: int,
     ValueError naming both sides."""
     if matrix.n != n:
         raise ValueError(f"matrix is for {matrix.n} curves, dataset has {n}")
-    if metric is not None and matrix.metric != metric:
+    if metric is not None and not matrix.metric.same_distance(metric):
         raise ValueError(f"matrix was built with {matrix.metric.label()}, "
                          f"run asks for {metric.label()}")
     return matrix
@@ -421,13 +436,14 @@ def pairwise_matrix(dataset, metric: MetricConfig | None = None) -> DistanceMatr
             UnnormalizedDataWarning,
             stacklevel=2,
         )
-    # Stored hour-major, so a batch gathered as cols[:, i] is already laid
-    # out the way paired_distances wants, and its .T costs no copy there.
+    # Stored hour-major. np.take along axis 1 gathers a batch hour-major
+    # and C-contiguous, the layout paired_distances wants, so its .T costs
+    # no copy there; cols[:, i] would come out pair-major and be copied.
     cols = np.ascontiguousarray(dataset.to_matrix().T)
     out = np.empty(n * (n - 1) // 2, dtype=float)
     for start, i, j in _pair_blocks(n):
-        out[start:start + len(i)] = paired_distances(cols[:, i].T,
-                                                     cols[:, j].T, cfg)
+        out[start:start + len(i)] = paired_distances(
+            np.take(cols, i, axis=1).T, np.take(cols, j, axis=1).T, cfg)
     return DistanceMatrix(n, out, cfg)
 
 

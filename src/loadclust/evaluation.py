@@ -159,14 +159,18 @@ class MethodSpec(FitParams):
 def _matrix(dataset, spec: MethodSpec, matrix):
     """The matrix a run of ``spec`` clusters through: None for a vector
     method, which refuses one; else the caller's, once ``check_matrix``
-    accepts it, or a new ``pairwise_matrix``."""
+    accepts it, or a new ``pairwise_matrix``. Also None for kmedoids on a
+    raw dataset: ``kmedoids`` refuses raw data before it reads a matrix,
+    so none is computed for it."""
     if spec.method not in MATRIX_METHODS:
         if matrix is not None:
             raise ValueError(f"{spec.method} does not use a distance matrix")
         return None
-    if matrix is None:
-        return pairwise_matrix(dataset, spec.metric)
-    return check_matrix(matrix, len(dataset), spec.metric)
+    if matrix is not None:
+        return check_matrix(matrix, len(dataset), spec.metric)
+    if spec.method == "kmedoids" and dataset.normalization == "raw":
+        return None
+    return pairwise_matrix(dataset, spec.metric)
 
 
 def fit(dataset, spec: MethodSpec, k: int,
@@ -190,7 +194,7 @@ def fit(dataset, spec: MethodSpec, k: int,
     if spec.method == "kmeanspp":
         return kmeans(dataset, spec.options(k), init="plusplus")
     if spec.method == "kmedoids":
-        return kmedoids(dataset, spec.options(k), matrix=matrix)
+        return kmedoids(dataset, spec.options(k), spec.metric, matrix)
     return gmm_em(dataset, spec.options(k))
 
 

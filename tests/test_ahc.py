@@ -318,7 +318,13 @@ class TestCut:
             cut_range(dtw_tree, 2, 4, m)
         with pytest.raises(ValueError, match="built under"):
             cut(d, 2, square_to_matrix(m.to_square(),
-                                       MetricConfig("euclidean", 1)))
+                                       MetricConfig("manhattan")))
+
+    def test_window_of_a_non_dtw_metric_is_ignored(self, built):
+        m, d = built
+        other_window = square_to_matrix(m.to_square(),
+                                        MetricConfig("euclidean", 1))
+        assert cut_range(d, 2, 4, other_window) == cut_range(d, 2, 4, m)
 
     def test_bad_range(self, built):
         m, d = built

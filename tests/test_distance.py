@@ -326,6 +326,27 @@ class TestPairwiseMatrix:
     def test_infeasible_entries_never_arise_for_curves(self, noisy_matrix):
         assert np.all(np.isfinite(noisy_matrix.condensed))
 
+    @pytest.mark.parametrize("cfg", [MetricConfig("dtw", 4),
+                                     MetricConfig("euclidean")],
+                             ids=lambda c: c.label())
+    def test_batches_arrive_in_the_kernel_layout(self, cfg, monkeypatch):
+        # paired_distances reads xs.T and ys.T hour-major; a batch whose .T
+        # is not already C-contiguous is copied on every call
+        layouts = []
+        real = distance.paired_distances
+
+        def recording(xs, ys, metric):
+            layouts.append((xs.shape[0], xs.T.flags.c_contiguous,
+                            ys.T.flags.c_contiguous))
+            return real(xs, ys, metric)
+
+        monkeypatch.setattr(distance, "paired_distances", recording)
+        monkeypatch.setattr(distance, "_BLOCK_PAIRS", 16)
+        rng = np.random.default_rng(5)
+        pairwise_matrix(curve_dataset(rng.normal(size=(12, 24)).tolist()), cfg)
+        assert [pairs for pairs, _, _ in layouts] == [16, 16, 16, 16, 2]
+        assert all(x and y for _, x, y in layouts)
+
 
 class TestBatchedAgainstScalar:
     """pairwise_matrix must equal one scalar call per pair, bit for bit."""
@@ -404,6 +425,13 @@ class TestCheckMatrix:
             check_matrix(noisy_matrix, 30, metric)
         assert str(info.value) == (f"matrix was built with dtw(w=4), "
                                    f"run asks for {label}")
+
+    def test_window_of_a_non_dtw_metric_is_ignored(self, noisy_dataset):
+        ds, _ = noisy_dataset
+        m = pairwise_matrix(ds, MetricConfig("euclidean", 2))
+        assert check_matrix(m, 30, MetricConfig("euclidean")) is m
+        with pytest.raises(ValueError, match="run asks for manhattan$"):
+            check_matrix(m, 30, MetricConfig("manhattan", 2))
 
 
 class TestMatrixFiles:

@@ -279,6 +279,33 @@ class TestForeignMatrixRefused:
             fit(ds, MethodSpec("kmeans"), 3, matrix=noisy_matrix)
 
 
+class TestRawKmedoidsRefusedFirst:
+    """kmedoids refuses a raw dataset before any distance is computed."""
+
+    MESSAGE = ("partitional methods require a normalized dataset; "
+               "call normalize_dataset first")
+
+    def test_fit_and_sweep_compute_no_matrix(self, monkeypatch):
+        import loadclust.partitional as partitional
+        from loadclust import SyntheticSpec, generate_synthetic
+        raw, _ = generate_synthetic(SyntheticSpec.default(3, 4), seed=2)
+
+        def forbidden(*a, **kw):
+            raise AssertionError("no matrix should be computed")
+
+        monkeypatch.setattr(ev, "pairwise_matrix", forbidden)
+        monkeypatch.setattr(partitional, "pairwise_matrix", forbidden)
+        spec = MethodSpec("kmedoids", restarts=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UnnormalizedDataWarning)
+            with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE)}$"):
+                fit(raw, spec, 3)
+            report = sweep(raw, spec, 2, 4)
+        assert report.rows == ()
+        assert report.diagnostics == tuple(f"k={k}: {self.MESSAGE}"
+                                           for k in (2, 3, 4))
+
+
 class TestSweep:
     def test_golden_scores_and_elbow(self, noisy_dataset, noisy_matrix):
         ds, _ = noisy_dataset
