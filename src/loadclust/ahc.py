@@ -259,8 +259,8 @@ def cut_range(dendrogram: Dendrogram, k_min: int, k_max: int,
         )
     if not matrix.metric.same_distance(dendrogram.metric):
         raise ValueError(
-            f"matrix is {matrix.metric} but the dendrogram was built "
-            f"under {dendrogram.metric}"
+            f"matrix is {matrix.metric.label()} but the dendrogram was built "
+            f"under {dendrogram.metric.label()}"
         )
     square = matrix.to_square()
 

@@ -50,12 +50,12 @@ class LoadCurve:
     degenerate: bool = False
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         if len(vals) != HOURS_PER_DAY:
             raise ValueError(
                 f"load curve needs exactly {HOURS_PER_DAY} values, got {len(vals)}"
             )
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError(f"non-finite value in {self.name()}")
         if self.degenerate:
             if not self.normalized:

@@ -381,12 +381,19 @@ def total_distance(gaps) -> float:
     return float(np.cumsum(np.concatenate(gaps))[-1])
 
 
-def cluster_medoids(square: np.ndarray, labels, k: int) -> tuple[list, float]:
+def cluster_medoids(square: np.ndarray, labels, k: int,
+                    memo: dict | None = None) -> tuple[list, float]:
     """Each cluster's ``medoid`` and the ``total_distance`` of every member
-    to its medoid, for labels 0..k-1."""
+    to its medoid, for labels 0..k-1. ``memo`` (member index bytes ->
+    ``medoid``, for this ``square`` only) spares a repeated set its sum."""
     labels = np.asarray(labels)
-    medoids, gaps = zip(*(medoid(square, np.flatnonzero(labels == c))
-                          for c in range(k)))
+    memo = {} if memo is None else memo
+    order = np.argsort(labels, kind="stable")  # each cluster's members ascending
+    clusters = np.split(order, np.searchsorted(labels[order], np.arange(1, k)))
+    for members in clusters:
+        if (key := members.tobytes()) not in memo:
+            memo[key] = medoid(square, members)
+    medoids, gaps = zip(*(memo[members.tobytes()] for members in clusters))
     return list(medoids), total_distance(gaps)
 
 

@@ -225,9 +225,12 @@ def kmeans(dataset, options: FitOptions, init: str = "random") -> ClusteringResu
 # --- K-medoids --------------------------------------------------------------
 
 def _kmedoids_single(S: np.ndarray, k: int, seed: int,
-                     max_iterations: int):
-    """One Voronoi-iteration run over a square distance matrix ``S``."""
+                     max_iterations: int, memo: dict | None = None):
+    """One Voronoi-iteration run over a square distance matrix ``S``, its
+    medoids read from and added to ``memo`` (see ``cluster_medoids``)."""
     n = len(S)
+    memo = {} if memo is None else memo
+    points = np.arange(n)
     rng = np.random.default_rng(seed)
     medoids = np.sort(rng.choice(n, size=k, replace=False))
 
@@ -237,13 +240,15 @@ def _kmedoids_single(S: np.ndarray, k: int, seed: int,
     labels = None
     for _ in range(max_iterations):
         iterations += 1
-        # assignment: nearest medoid; medoids are kept sorted ascending so
+        # assignment: nearest medoid, read from the medoid rows (S is
+        # symmetric bit for bit); medoids are kept sorted ascending so
         # argmin's first-occurrence rule is the lowest-medoid-index tie rule
-        d = S[:, medoids]
-        labels = np.argmin(d, axis=1)
-        labels = _repair_empty(labels, k, d[np.arange(n), labels])
-        # update: each cluster's medoid, sorted for the next assignment
-        by_cluster, cost = cluster_medoids(S, labels, k)
+        d = S[medoids]
+        labels = np.argmin(d, axis=0)
+        labels = _repair_empty(labels, k, d[labels, points])
+        # update: each cluster's medoid (unmoved or already met: from the
+        # memo), sorted for the next assignment
+        by_cluster, cost = cluster_medoids(S, labels, k, memo)
         trace.append(cost)
         new_medoids = np.sort(by_cluster)
         if np.array_equal(new_medoids, medoids):
@@ -252,12 +257,13 @@ def _kmedoids_single(S: np.ndarray, k: int, seed: int,
         medoids = new_medoids
 
     if not converged:
-        # align labels with the final medoid set
+        # align labels with the final medoid set; the objective is numpy's
+        # pairwise sum in curve order, kept so that it keeps its bits
         medoids = new_medoids
-        d = S[:, medoids]
-        labels = np.argmin(d, axis=1)
-        labels = _repair_empty(labels, k, d[np.arange(n), labels])
-        trace.append(float(d[np.arange(n), labels].sum()))
+        d = S[medoids]
+        labels = np.argmin(d, axis=0)
+        labels = _repair_empty(labels, k, d[labels, points])
+        trace.append(float(d[labels, points].sum()))
     return labels, medoids, trace, iterations, converged
 
 
@@ -280,9 +286,10 @@ def kmedoids(dataset, options: FitOptions,
         check_matrix(matrix, n, metric)
     S = matrix.to_square()
 
+    memo = {}  # member set -> medoid, for this fit's restarts only
     labels, medoids, trace, iterations, converged = min(
         (_kmedoids_single(S, options.k, options.seed + r,
-                          options.max_iterations)
+                          options.max_iterations, memo)
          for r in range(options.restarts)),
         key=lambda run: run[2][-1])
 

@@ -312,11 +312,16 @@ class TestCut:
         m, d = built
         dtw_tree = build_dendrogram(DistanceMatrix(m.n, m.condensed), "average")
         assert dtw_tree.merges == d.merges
-        with pytest.raises(ValueError, match="built under"):
+        # the whole message, each metric by its label
+        dtw_refusal = ("^matrix is euclidean but the dendrogram was built "
+                       r"under dtw\(w=4\)$")
+        with pytest.raises(ValueError, match=dtw_refusal):
             cut(dtw_tree, 2, m)
-        with pytest.raises(ValueError, match="built under"):
+        with pytest.raises(ValueError, match=dtw_refusal):
             cut_range(dtw_tree, 2, 4, m)
-        with pytest.raises(ValueError, match="built under"):
+        with pytest.raises(ValueError, match="^matrix is manhattan but the "
+                                             "dendrogram was built under "
+                                             "euclidean$"):
             cut(d, 2, square_to_matrix(m.to_square(),
                                        MetricConfig("manhattan")))
 

@@ -22,7 +22,7 @@ from loadclust.results import result_to_json
 
 from conftest import (best_match_accuracy, embed_1d, gmm_single_oracle,
                       kmeans_single_oracle, kmedoids_single_oracle,
-                      log_densities_oracle, make_curve)
+                      log_densities_oracle, make_curve, random_square)
 
 
 @pytest.fixture(scope="module")
@@ -436,6 +436,74 @@ class TestKmedoidsAgainstOracle:
     def test_euclidean_matrix(self, harder_dataset):
         ds, _ = harder_dataset
         self.check(pairwise_matrix(ds, MetricConfig("euclidean")))
+
+
+class TestKmedoidsMemo:
+    """One fit sums each member set once: the clusters that did not move,
+    and those another restart already formed, come from the fit's memo, and
+    reading them there changes no bit of any restart."""
+
+    def test_each_member_set_summed_once_per_fit(self, monkeypatch,
+                                                 noisy_dataset, noisy_matrix):
+        from loadclust import distance
+        summed, formed = [], []
+        medoid, cluster_medoids = distance.medoid, partitional.cluster_medoids
+
+        def counting_medoid(square, members):
+            summed.append(members.tobytes())
+            return medoid(square, members)
+
+        def recording(square, labels, k, memo):
+            formed.extend(np.flatnonzero(labels == c).tobytes()
+                          for c in range(k))
+            return cluster_medoids(square, labels, k, memo)
+
+        monkeypatch.setattr(distance, "medoid", counting_medoid)
+        monkeypatch.setattr(partitional, "cluster_medoids", recording)
+        ds, _ = noisy_dataset
+        for k in (2, 4, 6):
+            counts = []
+            for _ in range(2):
+                summed.clear()
+                formed.clear()
+                kmedoids(ds, FitOptions(k=k, seed=0), matrix=noisy_matrix)
+                assert len(summed) == len(set(formed))
+                assert set(summed) == set(formed)
+                assert len(summed) < len(formed)  # the memo was read
+                counts.append(len(summed))
+            # the second fit sums as much as the first: no memo outlives one
+            assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("source", ["noisy", "integer ties"])
+    def test_shared_memo_keeps_every_restart(self, source, noisy_matrix):
+        S = (noisy_matrix.to_square() if source == "noisy" else
+             random_square(np.random.default_rng(14), 40, integer=True))
+        hits = 0  # medoid lookups that the memo served
+        for max_iterations in (1, 2, 300):
+            for k in range(2, 9):
+                memo = {}
+                for seed in range(10):
+                    labels, medoids, trace, iterations, converged = (
+                        _kmedoids_single(S, k, seed, max_iterations, memo))
+                    fresh = _kmedoids_single(S, k, seed, max_iterations)
+                    assert np.array_equal(labels, fresh[0])
+                    assert np.array_equal(medoids, fresh[1])
+                    assert ([t.hex() for t in trace]
+                            == [t.hex() for t in fresh[2]])
+                    assert (iterations, converged) == fresh[3:]
+                    hits += iterations * k
+                    if source == "integer ties":
+                        # integer sums are exact in any order, so the whole
+                        # trace matches the original run too, and so does
+                        # its lowest-medoid-index tie rule
+                        expect = kmedoids_single_oracle(S, k, seed,
+                                                        max_iterations)
+                        assert np.array_equal(labels, expect[0])
+                        assert np.array_equal(medoids, expect[1])
+                        assert trace == expect[2]
+                        assert (iterations, converged) == expect[3:]
+                hits -= len(memo)
+        assert hits > 0
 
 
 class TestGmmInternals:
