@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import DistanceMatrix, MetricConfig, medoid, total_distance
+from .distance import DistanceMatrix, MetricConfig, cluster_medoids
 from .results import MEDOID_INDEX, ClusteringResult
 
 LINKAGES = ("single", "complete", "average")
@@ -240,14 +240,14 @@ def cut_range(dendrogram: Dendrogram, k_min: int, k_max: int,
 
     The k clusters are the connected components after the first n-k merge
     steps, labelled 0..k-1 in order of first appearance over leaves
-    0..n-1. Each prototype is the cluster's ``distance.medoid`` under
-    ``matrix``, which must be the matrix the dendrogram was built from
-    (same n and metric, else ValueError), and the objective is the
-    ``distance.total_distance`` of every member to its medoid. Going from k
-    to k-1 joins two clusters, so only the joined one needs a new medoid;
-    each result has the bits of a fresh cut at its k. The members of every
-    cluster the range holds are kept, at most n * (k_max - k_min + 1)
-    indices.
+    0..n-1. ``distance.cluster_medoids`` gives each k its medoids and
+    objective under ``matrix``, which must be the matrix the dendrogram
+    was built from (same n and metric, else ValueError), through one memo
+    for the whole range: going from k to k+1 splits one cluster in two, so
+    each of the 2 * k_max - k_min member sets is summed once. Each result
+    has the bits of a fresh cut at its k. Walking k upward sums the
+    largest clusters first; the smaller member-row gathers reuse their
+    memory.
     """
     n = dendrogram.n_leaves
     if not (1 <= k_min <= k_max <= n):
@@ -265,40 +265,31 @@ def cut_range(dendrogram: Dendrogram, k_min: int, k_max: int,
     square = matrix.to_square()
 
     leaves = {i: [i] for i in range(n)}  # cluster id -> its leaves
-    for t in range(n - k_max):
-        step = dendrogram.merges[t]
-        leaves[n + t] = leaves.pop(step.left) + leaves.pop(step.right)
-    live = [set(leaves)]  # the cluster ids at k = k_max, k_max - 1, ...
-    for t in range(n - k_max, n - k_min):
-        step = dendrogram.merges[t]
-        leaves[n + t] = leaves[step.left] + leaves[step.right]
-        live.append(live[-1] - {step.left, step.right} | {n + t})
-    # medoids of every cluster some k in range holds, the largest first: its
-    # member-row gather is the biggest block, and the smaller gathers then
-    # reuse that memory. Smaller first, the allocator kept their freed
-    # blocks while the big one was live: an n=3200 average-linkage sweep
-    # peaked at 237 MB RSS, against 208 MB largest first.
-    found = {}  # cluster id -> (leaves ascending, medoid, their distances to it)
-    for c in sorted(leaves, key=lambda c: len(leaves[c]), reverse=True):
-        members = np.sort(leaves[c])
-        found[c] = (members, *medoid(square, members))
+    labelings = {}  # k -> labels, for every k in range
+    for t in range(n - k_min + 1):  # n - t clusters before merge t
+        if n - t <= k_max:
+            labelings[n - t] = labels = np.empty(n, dtype=np.intp)
+            for c, members in enumerate(sorted(leaves.values(), key=min)):
+                labels[members] = c
+        if n - t > k_min:
+            step = dendrogram.merges[t]
+            leaves[n + t] = leaves.pop(step.left) + leaves.pop(step.right)
+
+    memo = {}  # member set -> medoid, shared by every k of the range
     results = []
-    for k, ids in zip(range(k_max, k_min - 1, -1), live):
-        ordered = sorted((found[c] for c in ids), key=lambda f: f[0][0])
-        labels = np.empty(n, dtype=np.intp)
-        for c, (members, _, _) in enumerate(ordered):
-            labels[members] = c
+    for k in range(k_min, k_max + 1):
+        medoids, objective = cluster_medoids(square, labelings[k], k, memo)
         results.append(ClusteringResult(
             method="ahc",
             k=k,
-            assignments=tuple(labels.tolist()),
-            prototypes=tuple(c[1] for c in ordered),
+            assignments=labelings[k],
+            prototypes=medoids,
             prototype_kind=MEDOID_INDEX,
-            objective=total_distance([c[2] for c in ordered]),
+            objective=objective,
             iterations=len(dendrogram.merges),
             converged=True,
             seed=None,
             metric=dendrogram.metric,
             linkage=dendrogram.linkage,
         ))
-    return results[::-1]
+    return results

@@ -389,11 +389,14 @@ def cluster_medoids(square: np.ndarray, labels, k: int,
     labels = np.asarray(labels)
     memo = {} if memo is None else memo
     order = np.argsort(labels, kind="stable")  # each cluster's members ascending
-    clusters = np.split(order, np.searchsorted(labels[order], np.arange(1, k)))
-    for members in clusters:
+    bounds = np.searchsorted(labels[order], np.arange(k + 1))
+    found = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        members = order[lo:hi]
         if (key := members.tobytes()) not in memo:
             memo[key] = medoid(square, members)
-    medoids, gaps = zip(*(memo[members.tobytes()] for members in clusters))
+        found.append(memo[key])
+    medoids, gaps = zip(*found)
     return list(medoids), total_distance(gaps)
 
 

@@ -138,6 +138,9 @@ class MethodSpec(FitParams):
                 raise ValueError(f"unknown linkage {self.linkage!r}")
         elif self.linkage is not None:
             raise ValueError("linkage only applies to ahc")
+        if type(self.size_weighted) is not bool:
+            raise ValueError(
+                f"size_weighted must be a bool, got {self.size_weighted!r}")
         if self.size_weighted and self.linkage != "average":
             raise ValueError("size_weighted only applies to ahc average linkage")
         super().__post_init__()
@@ -173,22 +176,18 @@ def _matrix(dataset, spec: MethodSpec, matrix):
     return pairwise_matrix(dataset, spec.metric)
 
 
-def fit(dataset, spec: MethodSpec, k: int,
-        matrix=None, dendrogram=None) -> ClusteringResult:
+def fit(dataset, spec: MethodSpec, k: int, matrix=None) -> ClusteringResult:
     """Run one clustering at one k under a MethodSpec.
 
-    For the matrix methods, a precomputed ``matrix`` (and for ahc a
-    prebuilt ``dendrogram``) short-circuits the expensive steps; sweep
-    exploits this to build each at most once. A ``matrix`` for another
-    number of curves or another metric, or one given to a vector method,
-    raises ValueError.
+    For the matrix methods, a precomputed ``matrix`` skips the expensive
+    pairwise step; sweep exploits this to build it at most once. A
+    ``matrix`` for another number of curves or another metric, or one
+    given to a vector method, raises ValueError.
     """
     matrix = _matrix(dataset, spec, matrix)
     if spec.method == "ahc":
-        if dendrogram is None:
-            dendrogram = build_dendrogram(matrix, spec.linkage,
-                                          spec.size_weighted)
-        return cut(dendrogram, k, matrix)
+        return cut(build_dendrogram(matrix, spec.linkage, spec.size_weighted),
+                   k, matrix)
     if spec.method == "kmeans":
         return kmeans(dataset, spec.options(k), init="random")
     if spec.method == "kmeanspp":
@@ -259,8 +258,8 @@ def sweep(dataset, spec: MethodSpec, k_min: int, k_max: int,
     diagnostics = []
     for k in range(k_min, k_max + 1):
         try:
-            result = cuts.get(k) or fit(dataset, spec, k, matrix=matrix,
-                                        dendrogram=dendrogram)
+            result = (fit(dataset, spec, k, matrix) if dendrogram is None
+                      else cuts.get(k) or cut(dendrogram, k, matrix))
             rows.append((k, wcbcr(result, dataset)))
         except (ValueError, FitError) as e:
             diagnostics.append(f"k={k}: {e}")
@@ -316,7 +315,7 @@ def elbow(report: SweepReport) -> int:
 def save_sweep(report: SweepReport, path) -> None:
     """Write the report as CSV rows `k,wcbcr` plus a JSON metadata sidecar.
 
-    The sidecar (at ``<path>.json``) records the method configuration, the
+    The sidecar (at ``<path>.json``) records every field of the spec, the
     evaluation metric, the unordered-pair denominator convention, and the
     selected elbow k (null when the report is too short to have one).
     """
@@ -333,7 +332,8 @@ def save_sweep(report: SweepReport, path) -> None:
         "metric": spec.metric.kind if spec.metric else EVALUATION_METRIC,
         "window": spec.metric.window if spec.metric else None,
         "linkage": spec.linkage,
-        "seed": spec.seed,
+        "size_weighted": spec.size_weighted,
+        **{f.name: getattr(spec, f.name) for f in fields(FitParams)},
         "evaluation_metric": report.evaluation_metric,
         "denominator_pairs": "unordered",
         "elbow_k": elbow_k,
@@ -345,11 +345,12 @@ def load_sweep(path) -> SweepReport:
     """Rebuild a report from its CSV (and sidecar, when present).
 
     Without a sidecar the rows still load, under a default ahc spec; the
-    elbow command needs nothing more than the rows. A sidecar whose values
-    make no valid spec, or whose diagnostics are not a list of strings,
-    raises one ValueError naming it; rows whose k does not strictly
-    increase, or whose wcbcr is negative or not finite, raise one naming
-    the CSV.
+    elbow command needs nothing more than the rows. A spec field other than
+    method, metric, window, linkage and seed takes its default when an
+    older sidecar lacks it. A sidecar whose values make no valid spec, or
+    whose diagnostics are not a list of strings, raises one ValueError
+    naming it; rows whose k does not strictly increase, or whose wcbcr is
+    negative or not finite, raise one naming the CSV.
     """
     rows = read_csv(path, SWEEP_HEADER, lambda row: (int(row[0]), float(row[1])))
     spec, diagnostics = MethodSpec("ahc"), []
@@ -359,7 +360,10 @@ def load_sweep(path) -> SweepReport:
             metric = (MetricConfig(meta["metric"], meta["window"])
                       if meta["method"] in MATRIX_METHODS else None)
             spec = MethodSpec(meta["method"], metric=metric,
-                              linkage=meta["linkage"], seed=meta["seed"])
+                              linkage=meta["linkage"],
+                              size_weighted=meta.get("size_weighted", False),
+                              **{f.name: meta.get(f.name, f.default)
+                                 for f in fields(FitParams)})
             diagnostics = meta.get("diagnostics", [])
             if (not isinstance(diagnostics, list)
                     or not all(isinstance(d, str) for d in diagnostics)):

@@ -209,8 +209,8 @@ def kmeans(dataset, options: FitOptions, init: str = "random") -> ClusteringResu
     return ClusteringResult(
         method="kmeans",
         k=options.k,
-        assignments=tuple(int(a) for a in labels),
-        prototypes=tuple(tuple(float(v) for v in c) for c in centroids),
+        assignments=labels,
+        prototypes=centroids,
         prototype_kind=VECTOR,
         objective=trace[-1],
         iterations=iterations,
@@ -218,7 +218,7 @@ def kmeans(dataset, options: FitOptions, init: str = "random") -> ClusteringResu
         seed=options.seed,
         metric=MetricConfig("euclidean"),
         init=init,
-        trace=tuple(trace),
+        trace=trace,
     )
 
 
@@ -298,15 +298,15 @@ def kmedoids(dataset, options: FitOptions,
     return ClusteringResult(
         method="kmedoids",
         k=options.k,
-        assignments=tuple(int(a) for a in labels),
-        prototypes=tuple(int(m) for m in medoids),
+        assignments=labels,
+        prototypes=medoids,
         prototype_kind=MEDOID_INDEX,
         objective=trace[-1],
         iterations=iterations,
         converged=converged,
         seed=options.seed,
         metric=matrix.metric,
-        trace=tuple(trace),
+        trace=trace,
     )
 
 
@@ -470,8 +470,8 @@ def gmm_em(dataset, options: FitOptions) -> ClusteringResult:
     return ClusteringResult(
         method="gmm",
         k=options.k,
-        assignments=tuple(int(a) for a in assignments),
-        prototypes=tuple(tuple(float(v) for v in m) for m in means),
+        assignments=assignments,
+        prototypes=means,
         prototype_kind=VECTOR,
         objective=avg_ll,
         iterations=iterations,
@@ -479,5 +479,5 @@ def gmm_em(dataset, options: FitOptions) -> ClusteringResult:
         seed=options.seed,
         metric=MetricConfig("euclidean"),
         init="plusplus",
-        trace=tuple(trace),
+        trace=trace,
     )

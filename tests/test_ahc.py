@@ -552,6 +552,28 @@ class TestCutRange:
         self.check(noisy_matrix, np.random.default_rng(1003))
 
 
+class TestCutRangeMedoidCount:
+    """Going from k to k+1 splits one cluster in two, so a range holds
+    2 * k_max - k_min distinct member sets, and each is summed once."""
+
+    def test_each_member_set_once(self, noisy_matrix, monkeypatch):
+        import loadclust.distance as distance
+        medoid, calls = distance.medoid, []
+
+        def counted(square, members):
+            calls.append(members.tobytes())
+            return medoid(square, members)
+
+        monkeypatch.setattr(distance, "medoid", counted)
+        for linkage, size_weighted in BUILD_CONFIGS:
+            d = build_dendrogram(noisy_matrix, linkage, size_weighted)
+            for k_min, k_max in ((2, 8), (1, 1), (3, 3), (1, noisy_matrix.n)):
+                calls.clear()
+                cut_range(d, k_min, k_max, noisy_matrix)
+                assert len(calls) == 2 * k_max - k_min
+                assert len(set(calls)) == len(calls)
+
+
 class TestBuildAgainstLazyStart:
     """The eager nearest-neighbour start must give the merges and height
     bits of the lazy start it replaced, under all four configurations."""

@@ -486,6 +486,51 @@ class TestSweepFiles:
         assert loaded.rows == report.rows
         assert loaded.spec == MethodSpec("ahc")
 
+    @pytest.mark.parametrize("spec", [
+        MethodSpec("ahc", size_weighted=True),
+        MethodSpec("gmm", covariance_kind="full", restarts=2,
+                   tolerance=1e-4, max_iterations=50),
+    ], ids=["ahc-sizeweighted", "gmm-full"])
+    def test_sidecar_round_trips_the_spec(self, tmp_path, spec):
+        p = tmp_path / "s.csv"
+        save_sweep(SweepReport(spec, ((2, 2.0), (3, 1.0), (4, 0.5))), p)
+        loaded = load_sweep(p)
+        assert loaded.spec == spec
+        assert loaded.spec.name() == spec.name()
+
+    def test_older_sidecar_loads_with_defaults(self, tmp_path, report):
+        """A sidecar that records only the spec keys written before
+        size_weighted and the fit hyperparameters were."""
+        p = tmp_path / "s.csv"
+        save_sweep(report, p)
+        side = tmp_path / "s.csv.json"
+        meta = json.loads(side.read_text())
+        for key in ("size_weighted", "restarts", "max_iterations", "tolerance",
+                    "covariance_regularizer", "covariance_kind"):
+            del meta[key]
+        side.write_text(json.dumps(meta))
+        loaded = load_sweep(p)
+        assert loaded.spec == MethodSpec("ahc", seed=meta["seed"])
+        assert loaded.rows == report.rows
+
+    @pytest.mark.parametrize("how", [
+        'size_weighted="yes"', "size_weighted=1", "restarts=0",
+        'tolerance="1e-4"', "max_iterations=0", 'covariance_kind="bogus"',
+        "covariance_regularizer=-1.0"])
+    def test_bad_spec_value_is_one_error_naming_the_sidecar(
+            self, tmp_path, report, how):
+        p = tmp_path / "s.csv"
+        save_sweep(report, p)
+        side = tmp_path / "s.csv.json"
+        key, value = how.split("=", 1)
+        meta = json.loads(side.read_text())
+        meta[key] = json.loads(value)
+        side.write_text(json.dumps(meta))
+        with pytest.raises(ValueError) as info:
+            load_sweep(p)
+        assert str(info.value).startswith(f"{side}: ")
+        assert "\n" not in str(info.value)
+
     def test_bad_header_and_rows(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("k;wcbcr\n")

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from loadclust import (ClusteringResult, FitOptions, MetricConfig,
@@ -75,6 +76,24 @@ class TestClusteringResultValidation:
             "algorithm": "kmeans", "prototype_kind": "vector",
             "metric": "euclidean", "window": 4, "init": "random",
         }
+
+
+class TestArrayInputs:
+    """Producers pass numpy arrays straight in; the fields must come out
+    as the Python tuples a tuple-built result holds."""
+
+    @pytest.mark.parametrize("make", [medoid_result, vector_result])
+    def test_arrays_equal_tuples(self, make):
+        r = make()
+        proto_dtype = np.intp if r.prototype_kind == "medoid-index" else float
+        a = make(assignments=np.asarray(r.assignments, dtype=np.intp),
+                 prototypes=np.asarray(r.prototypes, dtype=proto_dtype),
+                 trace=np.asarray(r.trace, dtype=float))
+        assert a == r
+        assert all(type(v) is int for v in a.assignments)
+        assert all(type(v) is (int if r.prototype_kind == "medoid-index"
+                               else tuple) for v in a.prototypes)
+        assert result_to_json(a) == result_to_json(r)
 
 
 class TestFitOptions:
