@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import DistanceMatrix, MetricConfig, cluster_medoids
+from .distance import DistanceMatrix, MetricConfig, check_matrix, cluster_medoids
 from .results import MEDOID_INDEX, ClusteringResult
 
 LINKAGES = ("single", "complete", "average")
@@ -242,7 +242,7 @@ def cut_range(dendrogram: Dendrogram, k_min: int, k_max: int,
     steps, labelled 0..k-1 in order of first appearance over leaves
     0..n-1. ``distance.cluster_medoids`` gives each k its medoids and
     objective under ``matrix``, which must be the matrix the dendrogram
-    was built from (same n and metric, else ValueError), through one memo
+    was built from (same n and metric, by ``check_matrix``), through one memo
     for the whole range: going from k to k+1 splits one cluster in two, so
     each of the 2 * k_max - k_min member sets is summed once. Each result
     has the bits of a fresh cut at its k. Walking k upward sums the
@@ -253,16 +253,7 @@ def cut_range(dendrogram: Dendrogram, k_min: int, k_max: int,
     if not (1 <= k_min <= k_max <= n):
         got = k_min if k_min == k_max else f"[{k_min}, {k_max}]"
         raise ValueError(f"k must be in [1, {n}], got {got}")
-    if matrix.n != n:
-        raise ValueError(
-            f"matrix is for {matrix.n} curves but the dendrogram has {n} leaves"
-        )
-    if not matrix.metric.same_distance(dendrogram.metric):
-        raise ValueError(
-            f"matrix is {matrix.metric.label()} but the dendrogram was built "
-            f"under {dendrogram.metric.label()}"
-        )
-    square = matrix.to_square()
+    square = check_matrix(matrix, n, dendrogram.metric).to_square()
 
     leaves = {i: [i] for i in range(n)}  # cluster id -> its leaves
     labelings = {}  # k -> labels, for every k in range

@@ -4,9 +4,10 @@ Every command is a pure file-in, file-out transformation plus at most one
 line on stdout; identical flags always produce byte-identical artifacts.
 Invalid flag combinations and hyperparameter values are rejected with a
 one-line diagnostic and exit status 2 before any file is read or any
-distance is computed: ``cluster`` and ``sweep`` resolve their flags into
-one ``MethodSpec``, which checks the values as it is built. Failures while
-running exit with status 1.
+distance is computed. ``synth`` resolves its flags into a ``SyntheticSpec``,
+``cluster`` and ``sweep`` into a ``MethodSpec``; each spec owns and checks
+its values as it is built, and only the rules about flags themselves live
+here. Failures while running exit with status 1.
 
 Commands
 --------
@@ -43,61 +44,51 @@ class ConfigError(ValueError):
     any computation."""
 
 
-def _resolve(args: argparse.Namespace) -> MethodSpec | None:
-    """Validate flag combinations and build the run's MethodSpec.
+def _resolve(args: argparse.Namespace) -> MethodSpec | SyntheticSpec | None:
+    """Check the flag rules, then build the run's spec, before any I/O.
 
-    The combination rules, enforced before anything is computed: --window
-    only with the dtw distance; --distance only for the matrix methods (ahc,
-    kmedoids); --covariance only for gmm; the matrix cache flags only for
-    the matrix methods. MethodSpec itself then checks --linkage (ahc only),
-    --size-weighted (ahc average linkage only) and the hyperparameter
-    values. Returns None for the commands that fit nothing; of those only
-    synth takes a value to check, its --seed.
+    Only the flag rules live here: the cache flags only for the matrix
+    methods, an explicit --covariance only for gmm, --window only with dtw,
+    the k ranges and synth's --seed. Every other rule, such as a metric
+    only for the matrix methods, is the spec's (``SyntheticSpec``,
+    ``MethodSpec`` and its ``FitParams``), and its ValueError becomes a
+    ConfigError. Returns None for ingest and elbow, which take no spec.
     """
     command = args.command
+    if command in ("ingest", "elbow"):
+        return None
     if command == "synth" and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    if command not in ("cluster", "sweep"):
-        return None
-    method = args.method
-    distance = args.distance
-
-    if method not in MATRIX_METHODS:
-        if distance is not None:
-            raise ConfigError(
-                f"--distance only applies to matrix methods "
-                f"({', '.join(MATRIX_METHODS)}); {method} is Euclidean by construction"
-            )
-        if args.save_matrix or args.load_matrix:
+    if command != "synth":
+        method = args.method
+        if method not in MATRIX_METHODS and (args.save_matrix or args.load_matrix):
             raise ConfigError(
                 f"--save-matrix/--load-matrix only apply to matrix methods "
                 f"({', '.join(MATRIX_METHODS)}), not {method}"
             )
-    if args.covariance is not None and method != "gmm":
-        raise ConfigError(f"--covariance only applies to gmm, not {method}")
-
-    if method in MATRIX_METHODS and distance is None:
-        distance = "dtw"
-    if args.window is not None and distance != "dtw":
-        raise ConfigError(
-            f"--window only applies to the dtw distance, not "
-            f"{distance or 'vector methods'}"
-        )
-
-    if command == "cluster" and args.k < 2:
-        raise ConfigError(f"--k must be >= 2, got {args.k}")
-    if command == "sweep" and not (2 <= args.k_min <= args.k_max):
-        raise ConfigError(
-            f"need 2 <= k-min <= k-max, got [{args.k_min}, {args.k_max}]"
-        )
+        if args.covariance is not None and method != "gmm":
+            raise ConfigError(f"--covariance only applies to gmm, not {method}")
+        if args.window is not None and args.distance not in (None, "dtw"):
+            raise ConfigError(
+                f"--window only applies to the dtw distance, not {args.distance}"
+            )
+        if command == "cluster" and args.k < 2:
+            raise ConfigError(f"--k must be >= 2, got {args.k}")
+        if command == "sweep" and not (2 <= args.k_min <= args.k_max):
+            raise ConfigError(
+                f"need 2 <= k-min <= k-max, got [{args.k_min}, {args.k_max}]"
+            )
 
     try:
+        if command == "synth":
+            return SyntheticSpec.default(args.k_true, args.per_archetype,
+                                         args.noise, args.shift)
         metric = None
-        if method in MATRIX_METHODS:
+        if args.distance is not None or args.window is not None:
             window = MetricConfig.window if args.window is None else args.window
-            metric = MetricConfig(distance, window)
+            metric = MetricConfig(args.distance or MetricConfig.kind, window)
         return MethodSpec(
-            method=method,
+            method=args.method,
             metric=metric,
             linkage=args.linkage,
             size_weighted=args.size_weighted,
@@ -213,21 +204,19 @@ def _run_ingest(args, spec) -> int:
     return 0
 
 
-def _run_synth(args, spec) -> int:
-    synthetic = SyntheticSpec.default(args.k_true, args.per_archetype,
-                                      args.noise, args.shift)
-    dataset, labels = generate_synthetic(synthetic, args.seed)
+def _run_synth(args, spec: SyntheticSpec) -> int:
+    dataset, labels = generate_synthetic(spec, args.seed)
     write_curves(dataset, args.output, extra={
         "labels": [int(a) for a in labels],
         "seed": args.seed,
         "synthetic": {
-            "k_true": args.k_true,
-            "curves_per_archetype": args.per_archetype,
-            "noise_std": args.noise,
-            "shift_range": args.shift,
+            "k_true": len(spec.archetypes),
+            "curves_per_archetype": spec.curves_per_archetype,
+            "noise_std": spec.noise_std,
+            "shift_range": spec.shift_range,
         },
     })
-    print(f"curves={len(dataset)} archetypes={args.k_true}")
+    print(f"curves={len(dataset)} archetypes={len(spec.archetypes)}")
     return 0
 
 

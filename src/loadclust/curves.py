@@ -287,8 +287,9 @@ class SyntheticSpec:
                 raise ValueError("archetype templates must have 24 points")
         if self.curves_per_archetype < 1:
             raise ValueError("curves_per_archetype must be >= 1")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and >= 0, "
+                             f"got {self.noise_std!r}")
         if self.shift_range < 0:
             raise ValueError("shift_range must be >= 0")
         object.__setattr__(self, "archetypes", arch)

@@ -109,13 +109,15 @@ def wcbcr(result: ClusteringResult, dataset) -> float:
 class MethodSpec(FitParams):
     """One clustering configuration: which method, under which knobs.
 
-    ``metric`` and ``linkage`` apply only where they mean something: the
-    matrix methods take a metric (default dtw, window 4), ahc alone takes a
-    linkage (default average), and ``size_weighted`` only with average
-    linkage. Vector methods (kmeans, kmeanspp, gmm) are Euclidean by
-    construction and reject an explicit metric. The fit
-    hyperparameters are FitParams' and are checked at construction, for
-    every method.
+    Every rule that pairs a method with a knob lives here, so the library
+    and the CLI refuse the same specs. ``metric`` and ``linkage`` apply
+    only where they mean something: the matrix methods take a metric
+    (default dtw, window 4), ahc alone takes a linkage (default average),
+    and ``size_weighted`` only with average linkage. Vector methods
+    (kmeans, kmeanspp, gmm) are Euclidean by construction and reject an
+    explicit metric. A ``covariance_kind`` other than the default is for
+    gmm only. The fit hyperparameters are FitParams' and are checked at
+    construction, for every method.
     """
 
     method: str
@@ -143,6 +145,8 @@ class MethodSpec(FitParams):
                 f"size_weighted must be a bool, got {self.size_weighted!r}")
         if self.size_weighted and self.linkage != "average":
             raise ValueError("size_weighted only applies to ahc average linkage")
+        if self.covariance_kind != FitParams.covariance_kind and self.method != "gmm":
+            raise ValueError("covariance_kind only applies to gmm")
         super().__post_init__()
 
     def name(self) -> str:

@@ -6,10 +6,10 @@ treat methods uniformly. The only method-dependent part is what a prototype
 is: medoid methods point at an actual member curve by index, centroid
 methods carry an explicit 24-point mean vector.
 
-FitParams owns the fit hyperparameters: their fields, defaults and checks.
-FitOptions (one fit at one k) and ``evaluation.MethodSpec`` (a method
-under its knobs) extend it, and the CLI takes its flag defaults from it, so
-a bad value is rejected when either is built, before any data is read.
+FitParams owns the fit hyperparameters: their fields, defaults and checks
+of type, then range. FitOptions (one fit at one k) and MethodSpec extend it
+and the CLI takes its flag defaults from it, so a bad value is one
+ValueError when either is built, for library, sidecar and CLI alike.
 """
 
 from __future__ import annotations
@@ -112,6 +112,17 @@ class ClusteringResult:
         return d
 
 
+def _check_types(name: str, values, want: tuple) -> None:
+    for v in values:
+        if type(v) not in want:
+            raise ValueError(f"{name} has the wrong type: {v!r}")
+
+
+#: The numeric fit hyperparameters and the Python types each may hold.
+FIT_PARAM_TYPES = {"seed": (int,), "restarts": (int,), "max_iterations": (int,),
+                   "tolerance": (int, float), "covariance_regularizer": (int, float)}
+
+
 @dataclass(frozen=True, kw_only=True)
 class FitParams:
     """The fit hyperparameters, their defaults and their checks, in one place.
@@ -119,7 +130,8 @@ class FitParams:
     ``covariance_regularizer`` and ``covariance_kind`` only matter for the
     Gaussian mixture; the rest apply to every partitional method. Restart r
     of a fit seeds its generator with ``seed + r``. The fields are
-    keyword-only, so subclasses keep their own fields positional.
+    keyword-only, so subclasses keep their own fields positional. A wrong
+    type (``FIT_PARAM_TYPES``: no bools, no float counts) raises ValueError.
     """
 
     seed: int = 0
@@ -130,6 +142,8 @@ class FitParams:
     covariance_kind: str = "diagonal"
 
     def __post_init__(self):
+        for name, types in FIT_PARAM_TYPES.items():
+            _check_types(name, (getattr(self, name),), types)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.max_iterations < 1:
@@ -149,11 +163,12 @@ class FitParams:
 
 @dataclass(frozen=True)
 class FitOptions(FitParams):
-    """The hyperparameters of one partitional fit at one k."""
+    """The hyperparameters of one partitional fit at one k (an int >= 2)."""
 
     k: int
 
     def __post_init__(self):
+        _check_types("k", (self.k,), (int,))
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         super().__post_init__()
@@ -206,12 +221,6 @@ RESULT_FIELDS = {
 DESCRIPTOR_FIELDS = {"algorithm": (str,), "prototype_kind": (str,),
                      "metric": (str,), "window": (int,), "linkage": (str,),
                      "init": (str,)}
-
-
-def _check_types(name: str, values, want: tuple) -> None:
-    for v in values:
-        if type(v) not in want:
-            raise ValueError(f"{name} has the wrong type: {v!r}")
 
 
 def load_result(path) -> ClusteringResult:

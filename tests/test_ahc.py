@@ -305,7 +305,8 @@ class TestCut:
             with pytest.raises(ValueError, match="k must be"):
                 cut(d, k, m)
         small = square_to_matrix([[0, 1], [1, 0]])
-        with pytest.raises(ValueError, match="leaves"):
+        with pytest.raises(ValueError,
+                           match="^matrix is for 2 curves, dataset has 5$"):
             cut(d, 2, small)
 
     def test_matrix_of_another_metric_rejected(self, built):
@@ -313,14 +314,14 @@ class TestCut:
         dtw_tree = build_dendrogram(DistanceMatrix(m.n, m.condensed), "average")
         assert dtw_tree.merges == d.merges
         # the whole message, each metric by its label
-        dtw_refusal = ("^matrix is euclidean but the dendrogram was built "
-                       r"under dtw\(w=4\)$")
+        dtw_refusal = (r"^matrix was built with euclidean, run asks for "
+                       r"dtw\(w=4\)$")
         with pytest.raises(ValueError, match=dtw_refusal):
             cut(dtw_tree, 2, m)
         with pytest.raises(ValueError, match=dtw_refusal):
             cut_range(dtw_tree, 2, 4, m)
-        with pytest.raises(ValueError, match="^matrix is manhattan but the "
-                                             "dendrogram was built under "
+        with pytest.raises(ValueError, match="^matrix was built with "
+                                             "manhattan, run asks for "
                                              "euclidean$"):
             cut(d, 2, square_to_matrix(m.to_square(),
                                        MetricConfig("manhattan")))

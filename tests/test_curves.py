@@ -290,8 +290,9 @@ class TestSynthetic:
             SyntheticSpec(((1.0,) * 23,), 5)
         with pytest.raises(ValueError, match="curves_per_archetype"):
             SyntheticSpec.default(3, 0)
-        with pytest.raises(ValueError, match="noise_std"):
-            SyntheticSpec.default(3, 5, noise_std=-1.0)
+        for noise in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise_std"):
+                SyntheticSpec.default(3, 5, noise_std=noise)
         with pytest.raises(ValueError, match="shift_range"):
             SyntheticSpec.default(3, 5, shift_range=-1)
 

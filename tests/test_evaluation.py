@@ -194,6 +194,14 @@ class TestMethodSpec:
         with pytest.raises(ValueError, match="size_weighted"):
             MethodSpec("ahc", linkage="single", size_weighted=True)
 
+    def test_covariance_kind_only_for_gmm(self):
+        assert MethodSpec("gmm", covariance_kind="full").covariance_kind == "full"
+        for m in ("ahc", "kmeans", "kmeanspp", "kmedoids"):
+            assert MethodSpec(m, covariance_kind="diagonal") == MethodSpec(m)
+            with pytest.raises(ValueError,
+                               match="^covariance_kind only applies to gmm$"):
+                MethodSpec(m, covariance_kind="full")
+
     def test_unknown_method_and_linkage(self):
         with pytest.raises(ValueError, match="unknown method"):
             MethodSpec("dbscan")
@@ -205,6 +213,11 @@ class TestMethodSpec:
         dict(max_iterations=0), dict(tolerance=0.0), dict(tolerance=math.nan),
         dict(covariance_regularizer=0.0), dict(covariance_kind="tied"),
         dict(restarts=0), dict(seed=-1),
+        # a value of the wrong type is a ValueError too, not a TypeError
+        # or a silent float count
+        dict(restarts=2.0), dict(restarts=True), dict(seed=1.5),
+        dict(tolerance=True), dict(max_iterations="300"),
+        dict(covariance_regularizer=None),
     ])
     def test_rejects_bad_hyperparameters_at_construction(self, method, kw):
         with pytest.raises(ValueError):
@@ -516,7 +529,8 @@ class TestSweepFiles:
     @pytest.mark.parametrize("how", [
         'size_weighted="yes"', "size_weighted=1", "restarts=0",
         'tolerance="1e-4"', "max_iterations=0", 'covariance_kind="bogus"',
-        "covariance_regularizer=-1.0"])
+        "covariance_regularizer=-1.0", "restarts=2.0", "restarts=true",
+        "seed=1.5"])
     def test_bad_spec_value_is_one_error_naming_the_sidecar(
             self, tmp_path, report, how):
         p = tmp_path / "s.csv"

@@ -1,11 +1,13 @@
 import json
+import math
 from datetime import date as Date
 
 import numpy as np
 import pytest
 
-from loadclust import (RawReading, SyntheticSpec, generate_synthetic,
-                       load_result, load_sweep, normalize_dataset)
+from loadclust import (MethodSpec, MetricConfig, RawReading, SyntheticSpec,
+                       generate_synthetic, load_result, load_sweep,
+                       normalize_dataset)
 from loadclust.cli import main
 from loadclust.io import (read_curves, read_readings, write_curves,
                           write_readings)
@@ -316,6 +318,31 @@ class TestCliCluster:
         capsys.readouterr()
 
 
+#: ``cluster`` flags that break a MethodSpec or FitParams rule, each with
+#: the MethodSpec arguments that break the same rule in the library.
+METHOD_RULES = [
+    (("--method", "kmeans", "--distance", "dtw"),
+     dict(method="kmeans", metric=MetricConfig("dtw"))),
+    (("--method", "gmm", "--distance", "euclidean"),
+     dict(method="gmm", metric=MetricConfig("euclidean"))),
+    (("--method", "kmeans", "--window", "2"),
+     dict(method="kmeans", metric=MetricConfig("dtw", 2))),
+    (("--method", "kmedoids", "--linkage", "single"),
+     dict(method="kmedoids", linkage="single")),
+    (("--method", "kmeans", "--size-weighted"),
+     dict(method="kmeans", size_weighted=True)),
+    (("--method", "ahc", "--covariance", "full"),
+     dict(method="ahc", covariance_kind="full")),
+    (("--method", "ahc", "--linkage", "single", "--size-weighted"),
+     dict(method="ahc", linkage="single", size_weighted=True)),
+    (("--restarts", "0"), dict(method="ahc", restarts=0)),
+    (("--max-iterations", "0"), dict(method="ahc", max_iterations=0)),
+    (("--tolerance", "0"), dict(method="ahc", tolerance=0.0)),
+    (("--tolerance", "nan"), dict(method="ahc", tolerance=math.nan)),
+    (("--method", "kmeans", "--seed", "-1"), dict(method="kmeans", seed=-1)),
+]
+
+
 class TestCliRejections:
     @pytest.mark.parametrize("flags", [
         ("--method", "kmeans", "--distance", "dtw"),
@@ -358,6 +385,30 @@ class TestCliRejections:
                      "--output", out, *argv[1:])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, spec_args", METHOD_RULES)
+    def test_method_rules_refused_by_cli_and_library_alike(
+            self, tmp_path, flags, spec_args, capsys):
+        rc = run_cli("cluster", "--input", tmp_path / "absent.csv",
+                     "--output", tmp_path / "out.json", "--k", "3", *flags)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError):
+            MethodSpec(**spec_args)
+
+    @pytest.mark.parametrize("flags", [
+        ("--k-true", "9"), ("--k-true", "0"), ("--per-archetype", "0"),
+        ("--noise", "-1"), ("--noise", "nan"), ("--noise", "inf"),
+        ("--shift", "-2"),
+    ])
+    def test_synth_bad_spec_exits_2_before_writing(self, tmp_path, flags,
+                                                   capsys):
+        rc = run_cli("synth", "--output", tmp_path / "c.csv", *flags)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_synth_negative_seed_exits_2_before_writing(self, tmp_path,

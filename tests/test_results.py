@@ -105,7 +105,7 @@ class TestFitOptions:
     @pytest.mark.parametrize("kw", [
         dict(k=1), dict(k=2, max_iterations=0), dict(k=2, tolerance=0.0),
         dict(k=2, covariance_regularizer=0.0), dict(k=2, covariance_kind="tied"),
-        dict(k=2, restarts=0), dict(k=2, seed=-1),
+        dict(k=2, restarts=0), dict(k=2, seed=-1), dict(k=2.0),
     ])
     def test_rejections(self, kw):
         with pytest.raises(ValueError):
