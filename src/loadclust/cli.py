@@ -32,9 +32,9 @@ from .curves import PER_CURVE, PER_HOUR, RAW, SyntheticSpec, generate_synthetic,
     normalize_dataset, reshape_readings
 from .distance import METRIC_KINDS, MetricConfig, check_matrix, load_matrix, \
     pairwise_matrix, save_matrix
-from .evaluation import (MATRIX_METHODS, METHODS, DegenerateClusteringError,
-                         DegenerateElbowWarning, MethodSpec, elbow, fit,
-                         load_sweep, save_sweep, sweep, wcbcr)
+from .evaluation import (MATRIX_METHODS, METHODS, DegenerateElbowWarning,
+                         MethodSpec, elbow, fit, load_sweep, save_sweep, sweep,
+                         wcbcr)
 from .io import read_curves, read_readings, write_curves
 from .partitional import FitError
 from .results import FitParams, save_result
@@ -274,7 +274,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, FitError, DegenerateClusteringError, OSError) as e:
+    except (ValueError, FitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -33,6 +33,15 @@ NORMALIZATIONS = (RAW, PER_CURVE, PER_HOUR)
 _FLAT_STD = 1e-12
 
 
+def check_types(name: str, values, want: tuple) -> None:
+    """The one type rule for caller and file values: each of ``values``
+    must be exactly one of the types ``want``, so a bool is not an int and
+    a float is not a count; else one ValueError naming it."""
+    for v in values:
+        if type(v) not in want:
+            raise ValueError(f"{name} has the wrong type: {v!r}")
+
+
 @dataclass(frozen=True)
 class LoadCurve:
     """One day of hourly consumption for one household.
@@ -66,9 +75,6 @@ class LoadCurve:
 
     def name(self) -> str:
         return f"curve {self.household_id}/{self.date}"
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -129,12 +135,12 @@ class RawReading:
     kwh: float
 
     def __post_init__(self):
-        if not (0 <= int(self.hour) <= 23):
+        check_types("hour", (self.hour,), (int,))
+        if not (0 <= self.hour <= 23):
             raise ValueError(f"hour must be in [0, 23], got {self.hour}")
         kwh = float(self.kwh)
         if not math.isfinite(kwh) or kwh < 0:
             raise ValueError(f"kwh must be finite and >= 0, got {self.kwh}")
-        object.__setattr__(self, "hour", int(self.hour))
         object.__setattr__(self, "kwh", kwh)
 
 
@@ -254,6 +260,7 @@ ARCHETYPE_SHAPES = {
 
 def default_archetypes(k: int) -> tuple:
     """First ``k`` built-in archetype templates as value tuples."""
+    check_types("k", (k,), (int,))
     if not (1 <= k <= len(ARCHETYPE_ORDER)):
         raise ValueError(
             f"k must be in [1, {len(ARCHETYPE_ORDER)}] for built-in archetypes"
@@ -279,6 +286,9 @@ class SyntheticSpec:
     shift_range: int = 0
 
     def __post_init__(self):
+        check_types("curves_per_archetype", (self.curves_per_archetype,), (int,))
+        check_types("noise_std", (self.noise_std,), (int, float))
+        check_types("shift_range", (self.shift_range,), (int,))
         arch = tuple(tuple(float(v) for v in a) for a in self.archetypes)
         if len(arch) < 1:
             raise ValueError("need at least one archetype")

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import HOURS_PER_DAY
+from .curves import HOURS_PER_DAY, check_types
 
 logger = logging.getLogger(__name__)
 
@@ -57,8 +57,8 @@ class MetricConfig:
 
     ``window`` only matters for dtw; it is kept in the config regardless so
     a matrix built under one config can reproduce itself from its header
-    alone. The window is capped at 24, the curve length, beyond which the
-    band no longer constrains anything.
+    alone. The window is an int, not a bool or a float, capped at 24, the
+    curve length, beyond which the band no longer constrains anything.
     """
 
     kind: str = "dtw"
@@ -69,12 +69,11 @@ class MetricConfig:
             raise ValueError(
                 f"unknown metric {self.kind!r}, expected one of {METRIC_KINDS}"
             )
-        if int(self.window) != self.window or not (1 <= self.window <= HOURS_PER_DAY):
+        check_types("window", (self.window,), (int,))
+        if not (1 <= self.window <= HOURS_PER_DAY):
             raise ValueError(
-                f"window must be an integer in [1, {HOURS_PER_DAY}], "
-                f"got {self.window!r}"
+                f"window must be in [1, {HOURS_PER_DAY}], got {self.window!r}"
             )
-        object.__setattr__(self, "window", int(self.window))
 
     def distance(self, x, y) -> float:
         if self.kind == "dtw":
@@ -120,11 +119,11 @@ def dtw(x, y, window: int = 4) -> float:
     """
     xs = _validate_series(x, "x")
     ys = _validate_series(y, "y")
-    if int(window) != window or window < 1:
-        raise ValueError(f"window must be an integer >= 1, got {window!r}")
-    w = int(window)
+    check_types("window", (window,), (int,))
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window!r}")
     n, m = len(xs), len(ys)
-    if abs(n - m) > w - 1:
+    if abs(n - m) > window - 1:
         return math.inf
 
     inf = math.inf
@@ -132,8 +131,8 @@ def dtw(x, y, window: int = 4) -> float:
     curr = [inf] * (m + 1)
     prev[0] = 0.0
     for i in range(1, n + 1):
-        lo = max(1, i - w + 1)
-        hi = min(m, i + w - 1)
+        lo = max(1, i - window + 1)
+        hi = min(m, i + window - 1)
         # The cell left of the band start acts as this row's boundary; cells
         # right of the band end still hold inf from an earlier row, which is
         # exactly the out-of-band cost, so no further clearing is needed.
@@ -312,6 +311,7 @@ class DistanceMatrix:
     metric: MetricConfig = field(default_factory=MetricConfig)
 
     def __post_init__(self):
+        check_types("n", (self.n,), (int,))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         vec = np.asarray(self.condensed, dtype=float)
@@ -484,12 +484,12 @@ def save_matrix(matrix: DistanceMatrix, path) -> None:
 def load_matrix(path) -> DistanceMatrix:
     """Read a matrix written by ``save_matrix``.
 
-    Every defect raises a one-line ValueError naming the path: a header
-    that is not a distance matrix's, a missing or unknown ``encoding`` (a
-    cache in the old one-value-per-line text format lands here), or a body
-    that is not exactly n(n-1)/2 float64s, so truncation and trailing bytes
-    both fail. ``DistanceMatrix`` then rejects NaN and negative entries;
-    ``inf`` passes, as it does for a computed matrix.
+    Every defect raises a one-line ValueError naming the path: a header that
+    is not a distance matrix's, a missing or unknown ``encoding`` (a cache
+    in the old text format lands here), an ``n`` or ``window`` that is not a
+    JSON integer, or a body that is not exactly n(n-1)/2 float64s
+    (truncated, or with trailing bytes). ``DistanceMatrix`` then rejects NaN
+    and negative entries; ``inf`` passes, as it does for a computed matrix.
     """
     try:
         with open(path, "rb") as f:
@@ -506,6 +506,7 @@ def load_matrix(path) -> DistanceMatrix:
                 )
             body = f.read()
         n = header["n"]
+        check_types("n", (n,), (int,))  # before any arithmetic on it
         expect = 8 * (n * (n - 1) // 2)
         if len(body) != expect:
             raise ValueError(

@@ -29,6 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .ahc import LINKAGES, build_dendrogram, cut, cut_range
+from .curves import check_types
 from .distance import (MetricConfig, UnnormalizedDataWarning, check_matrix,
                        paired_distances, pairwise_matrix, total_distance)
 from .io import read_csv, read_sidecar, sidecar_path, write_csv
@@ -140,9 +141,7 @@ class MethodSpec(FitParams):
                 raise ValueError(f"unknown linkage {self.linkage!r}")
         elif self.linkage is not None:
             raise ValueError("linkage only applies to ahc")
-        if type(self.size_weighted) is not bool:
-            raise ValueError(
-                f"size_weighted must be a bool, got {self.size_weighted!r}")
+        check_types("size_weighted", (self.size_weighted,), (bool,))
         if self.size_weighted and self.linkage != "average":
             raise ValueError("size_weighted only applies to ahc average linkage")
         if self.covariance_kind != FitParams.covariance_kind and self.method != "gmm":
@@ -244,6 +243,7 @@ def sweep(dataset, spec: MethodSpec, k_min: int, k_max: int,
     diagnostic line, not an abort; deterministic throughout.
     """
     n = len(dataset)
+    check_types("k", (k_min, k_max), (int,))
     if not (2 <= k_min <= k_max <= n):
         raise ValueError(
             f"need 2 <= k_min <= k_max <= {n}, got [{k_min}, {k_max}]"
@@ -369,10 +369,8 @@ def load_sweep(path) -> SweepReport:
                               **{f.name: meta.get(f.name, f.default)
                                  for f in fields(FitParams)})
             diagnostics = meta.get("diagnostics", [])
-            if (not isinstance(diagnostics, list)
-                    or not all(isinstance(d, str) for d in diagnostics)):
-                raise ValueError(f"diagnostics must be a list of strings, "
-                                 f"got {diagnostics!r}")
+            check_types("diagnostics", (diagnostics,), (list,))
+            check_types("a diagnostic", diagnostics, (str,))
         except (TypeError, ValueError) as e:
             raise ValueError(f"{sidecar_path(path)}: {e}") from None
     try:

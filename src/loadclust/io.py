@@ -21,7 +21,7 @@ import json
 from datetime import date as Date
 
 from .curves import (HOURS_PER_DAY, NORMALIZATIONS, Dataset, LoadCurve,
-                     RawReading)
+                     RawReading, check_types)
 
 READINGS_HEADER = ["household_id", "date", "hour", "kwh"]
 CURVES_HEADER = ["household_id", "date"] + [f"h{h}" for h in range(HOURS_PER_DAY)]
@@ -141,28 +141,26 @@ def read_curves(path) -> tuple[Dataset, dict]:
 
     A missing manifest is tolerated for hand-made files: the dataset is
     then taken as raw with no degenerate rows. A manifest of another kind,
-    an unknown normalization, degenerate rows that are not a list of
-    integers or a curve count that is not an integer raise one ValueError
-    naming the manifest.
+    an unknown normalization, degenerate rows that are not a list of ints
+    or a curve count that is not an int (``check_types``) raise one
+    ValueError naming the manifest.
     """
     manifest = (read_sidecar(path, ("kind", "normalization"))
                 or {"kind": "curves", "normalization": "raw", "degenerate": []})
-    side = sidecar_path(path)
-    if manifest["kind"] != "curves":
-        raise ValueError(f"{side}: not a curves manifest")
     normalization = manifest["normalization"]
-    if normalization not in NORMALIZATIONS:
-        raise ValueError(f"{side}: unknown normalization {normalization!r}, "
-                         f"expected one of {NORMALIZATIONS}")
     degenerate = manifest.get("degenerate", [])
-    if (not isinstance(degenerate, list)
-            or not all(type(i) is int for i in degenerate)):
-        raise ValueError(f"{side}: degenerate must be a list of row "
-                         f"indices, got {degenerate!r}")
     n_curves = manifest.get("n_curves")
-    if n_curves is not None and type(n_curves) is not int:
-        raise ValueError(f"{side}: n_curves must be an integer, "
-                         f"got {n_curves!r}")
+    try:
+        if manifest["kind"] != "curves":
+            raise ValueError("not a curves manifest")
+        if normalization not in NORMALIZATIONS:
+            raise ValueError(f"unknown normalization {normalization!r}, "
+                             f"expected one of {NORMALIZATIONS}")
+        check_types("degenerate", (degenerate,), (list,))
+        check_types("a degenerate row index", degenerate, (int,))
+        check_types("n_curves", (n_curves,), (int, type(None)))
+    except ValueError as e:
+        raise ValueError(f"{sidecar_path(path)}: {e}") from None
     degenerate = set(degenerate)
     normalized = normalization != "raw"
     # the manifest indexes curves, not lines, so a blank line shifts nothing

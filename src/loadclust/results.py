@@ -7,9 +7,10 @@ is: medoid methods point at an actual member curve by index, centroid
 methods carry an explicit 24-point mean vector.
 
 FitParams owns the fit hyperparameters: their fields, defaults and checks
-of type, then range. FitOptions (one fit at one k) and MethodSpec extend it
-and the CLI takes its flag defaults from it, so a bad value is one
-ValueError when either is built, for library, sidecar and CLI alike.
+of type (``curves.check_types``), then range. FitOptions (one fit at one
+k) and MethodSpec extend it and the CLI takes its flag defaults from it,
+so a bad value is one ValueError when either is built, for library,
+sidecar and CLI alike.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curves import HOURS_PER_DAY
+from .curves import HOURS_PER_DAY, check_types
 from .distance import MetricConfig
 from .io import json_text, read_json, with_extra
 
@@ -112,12 +113,6 @@ class ClusteringResult:
         return d
 
 
-def _check_types(name: str, values, want: tuple) -> None:
-    for v in values:
-        if type(v) not in want:
-            raise ValueError(f"{name} has the wrong type: {v!r}")
-
-
 #: The numeric fit hyperparameters and the Python types each may hold.
 FIT_PARAM_TYPES = {"seed": (int,), "restarts": (int,), "max_iterations": (int,),
                    "tolerance": (int, float), "covariance_regularizer": (int, float)}
@@ -143,7 +138,7 @@ class FitParams:
 
     def __post_init__(self):
         for name, types in FIT_PARAM_TYPES.items():
-            _check_types(name, (getattr(self, name),), types)
+            check_types(name, (getattr(self, name),), types)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.max_iterations < 1:
@@ -168,7 +163,7 @@ class FitOptions(FitParams):
     k: int
 
     def __post_init__(self):
-        _check_types("k", (self.k,), (int,))
+        check_types("k", (self.k,), (int,))
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         super().__post_init__()
@@ -237,20 +232,20 @@ def load_result(path) -> ClusteringResult:
     doc = read_json(path, RESULT_FIELDS)
     try:
         for key, types in RESULT_FIELDS.items():
-            _check_types(key, (doc[key],), types)
+            check_types(key, (doc[key],), types)
         desc = doc["method"]
         if not {"algorithm", "prototype_kind"} <= desc.keys():
             raise ValueError("method must hold algorithm and prototype_kind")
         for key, types in DESCRIPTOR_FIELDS.items():
             if key in desc:
-                _check_types(f"method {key}", (desc[key],), types)
-        _check_types("an assignment", doc["assignments"], (int,))
+                check_types(f"method {key}", (desc[key],), types)
+        check_types("an assignment", doc["assignments"], (int,))
         if desc["prototype_kind"] == MEDOID_INDEX:
-            _check_types("a medoid index", doc["prototypes"], (int,))
+            check_types("a medoid index", doc["prototypes"], (int,))
         elif desc["prototype_kind"] == VECTOR:
-            _check_types("a prototype", doc["prototypes"], (list,))
+            check_types("a prototype", doc["prototypes"], (list,))
             for p in doc["prototypes"]:
-                _check_types("a prototype entry", p, (int, float))
+                check_types("a prototype entry", p, (int, float))
         metric = None
         if "metric" in desc:
             metric = MetricConfig(desc["metric"], desc.get("window", 4))

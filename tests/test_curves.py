@@ -1,4 +1,5 @@
 import math
+import re
 from datetime import date as Date
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loadclust import (Dataset, LoadCurve, MetricConfig, RawReading,
-                       SyntheticSpec, default_archetypes, dtw,
-                       generate_synthetic, normalize_dataset, reshape_readings,
-                       z_normalize)
+from loadclust import (Dataset, DistanceMatrix, LoadCurve, MethodSpec,
+                       MetricConfig, RawReading, SyntheticSpec,
+                       build_dendrogram, cut, cut_range, default_archetypes,
+                       dtw, generate_synthetic, normalize_dataset,
+                       pairwise_matrix, reshape_readings, sweep, z_normalize)
 from loadclust.curves import ARCHETYPE_ORDER, HOURS_PER_DAY, PER_HOUR
 
 from conftest import make_curve, per_hour_oracle, z_normalize_oracle
@@ -42,12 +44,6 @@ class TestLoadCurve:
         with pytest.raises(ValueError, match="zeros"):
             make_curve([1.0] + [0.0] * 23, normalized=True, degenerate=True)
         make_curve([0.0] * 24, normalized=True, degenerate=True)
-
-    def test_as_array(self):
-        c = make_curve(range(24))
-        a = c.as_array()
-        assert a.dtype == float and a.shape == (24,)
-        assert np.array_equal(a, np.arange(24.0))
 
 
 class TestZNormalize:
@@ -352,3 +348,54 @@ class TestSynthetic:
         flat_idx = ARCHETYPE_ORDER.index("flat")
         for c, lab in zip(nds, labels):
             assert c.degenerate == (lab == flat_idx)
+
+
+# --- the one type rule --------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def tiny():
+    """Six normalized curves, their dtw matrix and average-linkage tree."""
+    ds = normalize_dataset(generate_synthetic(
+        SyntheticSpec.default(2, 3, 0.1), seed=0)[0])
+    matrix = pairwise_matrix(ds)
+    return ds, matrix, build_dendrogram(matrix, "average")
+
+
+#: A bool, a float and a str, where a count or a window is due.
+NOT_INTS = (True, 2.0, "2")
+
+#: Every entry point of a count, window or flag: its call on ``tiny`` and
+#: the wrongly typed values it must refuse.
+ENTRY_POINTS = {
+    "MetricConfig window": (lambda t, v: MetricConfig("dtw", v), NOT_INTS),
+    "dtw window": (lambda t, v: dtw([0.0] * 3, [1.0] * 3, v), NOT_INTS),
+    "DistanceMatrix n": (lambda t, v: DistanceMatrix(v, np.zeros(1)), NOT_INTS),
+    "RawReading hour":
+        (lambda t, v: RawReading("h", Date(2024, 1, 1), v, 1.0), NOT_INTS),
+    "SyntheticSpec curves_per_archetype":
+        (lambda t, v: SyntheticSpec.default(2, v), NOT_INTS),
+    "SyntheticSpec noise_std":  # an int or a float
+        (lambda t, v: SyntheticSpec.default(2, 2, v), (True, "0.1")),
+    "SyntheticSpec shift_range":
+        (lambda t, v: SyntheticSpec.default(2, 2, 0.1, v), NOT_INTS),
+    "default_archetypes k": (lambda t, v: default_archetypes(v), NOT_INTS),
+    "sweep k_min": (lambda t, v: sweep(t[0], MethodSpec("ahc"), v, 4), NOT_INTS),
+    "sweep k_max": (lambda t, v: sweep(t[0], MethodSpec("ahc"), 2, v), NOT_INTS),
+    "cut k": (lambda t, v: cut(t[2], v, t[1]), NOT_INTS),
+    "cut_range k_min": (lambda t, v: cut_range(t[2], v, 4, t[1]), NOT_INTS),
+    "cut_range k_max": (lambda t, v: cut_range(t[2], 2, v, t[1]), NOT_INTS),
+    "MethodSpec size_weighted":  # a bool
+        (lambda t, v: MethodSpec("ahc", size_weighted=v), (1, 1.0, "true")),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    (entry, v) for entry, (_, values) in ENTRY_POINTS.items() for v in values])
+def test_wrong_type_is_one_value_error_at_every_entry_point(tiny, entry,
+                                                            value):
+    """``check_types`` refuses the value: never a TypeError from deeper
+    down, never a silent coercion."""
+    call, _ = ENTRY_POINTS[entry]
+    with pytest.raises(ValueError,
+                       match=re.escape(f"has the wrong type: {value!r}") + "$"):
+        call(tiny, value)

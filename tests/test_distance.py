@@ -75,9 +75,11 @@ class TestMetricConfig:
         with pytest.raises(ValueError, match="window"):
             MetricConfig("dtw", w)
 
-    def test_window_coerced_to_int(self):
-        assert MetricConfig("dtw", 3.0).window == 3
-        assert isinstance(MetricConfig("dtw", 3.0).window, int)
+    def test_integer_valued_float_window_refused(self):
+        # an int window, not a float that equals one, and never coerced
+        with pytest.raises(ValueError, match="^window has the wrong type: 3.0$"):
+            MetricConfig("dtw", 3.0)
+        assert type(MetricConfig("dtw", 3).window) is int
 
     def test_label(self):
         assert MetricConfig("dtw", 4).label() == "dtw(w=4)"

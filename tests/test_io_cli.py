@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 from datetime import date as Date
 
 import numpy as np
@@ -541,6 +542,90 @@ class TestCliMalformedSidecars:
                      "--k", 3)
         self.check_one_error_line(capsys, rc, side)
         assert not out.exists()
+
+
+class TestCliMutatedArtifacts:
+    """Each value of the matrix cache header, the curves manifest and the
+    sweep sidecar, replaced in turn by a value of another JSON type: the
+    command reading the file either writes the unmutated run's bytes or
+    exits 1 or 2 with one error line naming the file, and never raises."""
+
+    #: null, true, an integer-valued float, a string and a list.
+    MUTATIONS = ["null", "true", "float", "string", "list"]
+
+    @staticmethod
+    def mutant(value, how):
+        if how == "float":
+            return float(value) if type(value) is int else 12.0
+        return {"null": None, "true": True, "string": "x", "list": ["x"]}[how]
+
+    @staticmethod
+    def outputs(run, tmp_path, capsys):
+        """The exit status, stderr, stdout and written files of one run
+        into an empty ``out`` directory."""
+        out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        rc = run(out)
+        captured = capsys.readouterr()
+        return (rc, captured.err, captured.out,
+                {p.name: p.read_bytes() for p in out.iterdir()})
+
+    def check_every_key(self, tmp_path, capsys, path, read, write, run, how):
+        """Mutate each key of the document ``read(path)`` in turn."""
+        capsys.readouterr()
+        want = self.outputs(run, tmp_path, capsys)
+        assert want[0] == 0, want[1]
+        doc = read(path)
+        for key in sorted(doc):
+            write(path, {**doc, key: self.mutant(doc[key], how)})
+            rc, err, out, files = self.outputs(run, tmp_path, capsys)
+            if rc == 0:
+                assert (rc, err, out, files) == want, key
+            else:
+                assert rc in (1, 2), key
+                assert err.startswith("error: ") and err.count("\n") == 1, key
+                assert str(path) in err, (key, err)
+                assert files == {}, key
+
+    @pytest.mark.parametrize("how", MUTATIONS)
+    def test_matrix_cache_header(self, tmp_path, synth_file, how, capsys):
+        cache = tmp_path / "m.dmx"
+        assert run_cli("cluster", "--input", synth_file, "--output",
+                       tmp_path / "r.json", "--k", 3,
+                       "--save-matrix", cache) == 0
+        body = cache.read_bytes().split(b"\n", 1)[1]
+
+        def write(path, header):
+            path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+        self.check_every_key(
+            tmp_path, capsys, cache,
+            lambda path: json.loads(path.read_bytes().split(b"\n", 1)[0]),
+            write,
+            lambda out: run_cli("sweep", "--input", synth_file,
+                                "--output", out / "s.csv", "--k-min", 2,
+                                "--k-max", 4, "--load-matrix", cache), how)
+
+    @pytest.mark.parametrize("how", MUTATIONS)
+    def test_curves_manifest(self, tmp_path, synth_file, how, capsys):
+        self.check_every_key(
+            tmp_path, capsys, synth_file.with_name(synth_file.name + ".json"),
+            lambda path: json.loads(path.read_text()),
+            lambda path, doc: path.write_text(json.dumps(doc)),
+            lambda out: run_cli("cluster", "--input", synth_file,
+                                "--output", out / "r.json", "--k", 3), how)
+
+    @pytest.mark.parametrize("how", MUTATIONS)
+    def test_sweep_sidecar(self, tmp_path, synth_file, how, capsys):
+        sp = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--input", synth_file, "--output", sp,
+                       "--k-min", 2, "--k-max", 5) == 0
+        self.check_every_key(
+            tmp_path, capsys, sp.with_name(sp.name + ".json"),
+            lambda path: json.loads(path.read_text()),
+            lambda path, doc: path.write_text(json.dumps(doc)),
+            lambda out: run_cli("elbow", "--input", sp), how)
 
 
 def test_pipeline_writes_no_carriage_returns(tmp_path, capsys):
