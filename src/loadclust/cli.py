@@ -187,7 +187,7 @@ def _prepare_matrix(args, spec: MethodSpec, dataset):
         try:
             check_matrix(matrix, len(dataset), spec.metric)
         except ValueError as e:
-            raise ConfigError(f"cached {e}") from e
+            raise ConfigError(f"{args.load_matrix}: cached {e}") from e
     else:
         matrix = pairwise_matrix(dataset, spec.metric)
     if args.save_matrix:

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import HOURS_PER_DAY, check_types
+from .io import naming
 
 logger = logging.getLogger(__name__)
 
@@ -484,37 +485,29 @@ def save_matrix(matrix: DistanceMatrix, path) -> None:
 def load_matrix(path) -> DistanceMatrix:
     """Read a matrix written by ``save_matrix``.
 
-    Every defect raises a one-line ValueError naming the path: a header that
-    is not a distance matrix's, a missing or unknown ``encoding`` (a cache
-    in the old text format lands here), an ``n`` or ``window`` that is not a
-    JSON integer, or a body that is not exactly n(n-1)/2 float64s
-    (truncated, or with trailing bytes). ``DistanceMatrix`` then rejects NaN
-    and negative entries; ``inf`` passes, as it does for a computed matrix.
+    Every defect is one ``io.naming`` ValueError naming the path: a header
+    that is not a distance matrix's JSON, a missing or unknown ``encoding``
+    (a cache in the old text format lands here), an ``n`` or ``window`` that
+    is not a JSON integer, a body that is not exactly n(n-1)/2 float64s, or
+    a NaN or negative entry. ``inf`` passes, as it does for a computed
+    matrix (``pairwise_matrix`` on raw curves can overflow to it):
+    ``build_dendrogram`` refuses it, k-medoids reads it as an infinitely
+    distant pair.
     """
-    try:
-        with open(path, "rb") as f:
-            try:
-                header = json.loads(f.readline())
-            except ValueError:
-                header = None
-            if not isinstance(header, dict) or header.get("kind") != "distance-matrix":
-                raise ValueError("not a distance matrix dump")
-            if header.get("encoding") != _ENCODING:
-                raise ValueError(
-                    f"matrix encoding {header.get('encoding')!r} is not "
-                    f"{_ENCODING!r}; rebuild it with --save-matrix"
-                )
-            body = f.read()
-        n = header["n"]
+    with open(path, "rb") as f, naming(path):
+        header = json.loads(f.readline())
+        if not isinstance(header, dict) or header.get("kind") != "distance-matrix":
+            raise ValueError("not a distance matrix dump")
+        if header.get("encoding") != _ENCODING:
+            raise ValueError(
+                f"matrix encoding {header.get('encoding')!r} is not "
+                f"{_ENCODING!r}; rebuild it with --save-matrix"
+            )
+        body = f.read()
+        n = header.get("n")
         check_types("n", (n,), (int,))  # before any arithmetic on it
         expect = 8 * (n * (n - 1) // 2)
         if len(body) != expect:
-            raise ValueError(
-                f"body holds {len(body)} bytes, n={n} needs {expect}"
-            )
-        metric = MetricConfig(header["metric"], header["window"])
+            raise ValueError(f"body holds {len(body)} bytes, n={n} needs {expect}")
+        metric = MetricConfig(header.get("metric"), header.get("window"))
         return DistanceMatrix(n, np.frombuffer(body, "<f8"), metric)
-    except KeyError as e:
-        raise ValueError(f"{path}: header has no {e}") from e
-    except (ValueError, TypeError) as e:
-        raise ValueError(f"{path}: {e}") from e

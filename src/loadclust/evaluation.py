@@ -32,7 +32,7 @@ from .ahc import LINKAGES, build_dendrogram, cut, cut_range
 from .curves import check_types
 from .distance import (MetricConfig, UnnormalizedDataWarning, check_matrix,
                        paired_distances, pairwise_matrix, total_distance)
-from .io import read_csv, read_sidecar, sidecar_path, write_csv
+from .io import naming, read_csv, read_sidecar, sidecar_path, write_csv
 from .partitional import FitError, gmm_em, kmeans, kmedoids
 from .results import MEDOID_INDEX, ClusteringResult, FitOptions, FitParams
 
@@ -214,7 +214,10 @@ class SweepReport:
     diagnostics: tuple = ()
 
     def __post_init__(self):
-        rows = tuple((int(k), float(w)) for k, w in self.rows)
+        rows = tuple(self.rows)
+        check_types("a sweep k", (k for k, _ in rows), (int,))
+        check_types("a wcbcr score", (w for _, w in rows), (int, float))
+        rows = tuple((k, float(w)) for k, w in rows)
         for (ka, _), (kb, _) in zip(rows, rows[1:]):
             if kb <= ka:
                 raise ValueError("rows must have strictly increasing k")
@@ -351,16 +354,15 @@ def load_sweep(path) -> SweepReport:
     Without a sidecar the rows still load, under a default ahc spec; the
     elbow command needs nothing more than the rows. A spec field other than
     method, metric, window, linkage and seed takes its default when an
-    older sidecar lacks it. A sidecar whose values make no valid spec, or
-    whose diagnostics are not a list of strings, raises one ValueError
-    naming it; rows whose k does not strictly increase, or whose wcbcr is
-    negative or not finite, raise one naming the CSV.
+    older sidecar lacks it. A defect is one ``io.naming`` ValueError naming
+    the sidecar (values that make no valid spec, diagnostics that are not a
+    list of strings) or the CSV (rows that make no valid ``SweepReport``).
     """
     rows = read_csv(path, SWEEP_HEADER, lambda row: (int(row[0]), float(row[1])))
     spec, diagnostics = MethodSpec("ahc"), []
     meta = read_sidecar(path, ("method", "metric", "window", "linkage", "seed"))
     if meta is not None:
-        try:
+        with naming(sidecar_path(path)):
             metric = (MetricConfig(meta["metric"], meta["window"])
                       if meta["method"] in MATRIX_METHODS else None)
             spec = MethodSpec(meta["method"], metric=metric,
@@ -371,12 +373,8 @@ def load_sweep(path) -> SweepReport:
             diagnostics = meta.get("diagnostics", [])
             check_types("diagnostics", (diagnostics,), (list,))
             check_types("a diagnostic", diagnostics, (str,))
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"{sidecar_path(path)}: {e}") from None
-    try:
+    with naming(path):
         return SweepReport(spec, rows, EVALUATION_METRIC, diagnostics)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
 
 
 def sweep_table(dataset, specs, k_min: int, k_max: int):

@@ -10,7 +10,9 @@ every sidecar and result JSON through ``read_json``. Two CSV shapes here:
 
 Floats are written with ``repr`` (shortest exact round-trip), lines end
 with LF and JSON keys are sorted, so identical data always produces
-identical bytes. Parse errors carry ``path:line:`` prefixes.
+identical bytes. Every reader reports a defective file as one single-line
+ValueError: ``read_csv`` prefixes ``path:line:``, every other reader checks
+inside ``naming``, and ``FILE_ERRORS`` lists the errors that mean a defect.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import os
+from contextlib import contextmanager
 from datetime import date as Date
 
 from .curves import (HOURS_PER_DAY, NORMALIZATIONS, Dataset, LoadCurve,
@@ -25,6 +29,20 @@ from .curves import (HOURS_PER_DAY, NORMALIZATIONS, Dataset, LoadCurve,
 
 READINGS_HEADER = ["household_id", "date", "hour", "kwh"]
 CURVES_HEADER = ["household_id", "date"] + [f"h{h}" for h in range(HOURS_PER_DAY)]
+
+#: The errors that mean a defective file: a bad value, type or number, JSON
+#: nested too deep to parse, a CSV line the csv module cannot split.
+FILE_ERRORS = (ValueError, TypeError, OverflowError, RecursionError, csv.Error)
+
+
+@contextmanager
+def naming(where):
+    """Turn any of ``FILE_ERRORS`` raised inside into one ValueError
+    prefixed ``where:``."""
+    try:
+        yield
+    except FILE_ERRORS as e:
+        raise ValueError(f"{where}: {e}") from None
 
 
 def write_csv(path, header, rows, sidecar=None) -> None:
@@ -41,27 +59,26 @@ def write_csv(path, header, rows, sidecar=None) -> None:
 
 def read_csv(path, header, parse) -> list:
     """``parse(row)`` of every non-empty row after ``header``. A wrong
-    header, a wrong field count or a ValueError from ``parse`` raises one
-    ValueError prefixed ``path:line:``."""
+    header or field count, or any of ``FILE_ERRORS`` (such as a byte that is
+    not UTF-8, at the line the reader had reached), raises one ValueError
+    prefixed ``path:line:``."""
     out = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        first = next(reader, None)
-        if first is None:
-            raise ValueError(f"{path}:1: empty file")
-        if first != header:
-            raise ValueError(f"{path}:1: expected header {','.join(header)!r}, "
-                             f"got {','.join(first)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} "
-                                 f"fields, got {len(row)}")
-            try:
+        try:
+            first = next(reader, None)
+            if first != header:
+                raise ValueError("empty file" if first is None else
+                                 f"expected header {','.join(header)!r}, "
+                                 f"got {','.join(first)!r}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
                 out.append(parse(row))
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from e
+        except FILE_ERRORS as e:
+            raise ValueError(f"{path}:{reader.line_num or 1}: {e}") from None
     return out
 
 
@@ -85,22 +102,17 @@ def read_json(path, keys) -> dict:
     """The JSON object in the file at ``path``. A file that is not JSON, or
     not an object holding every one of ``keys``, raises one ValueError
     naming it."""
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except ValueError as e:
-            raise ValueError(f"{path}: not JSON: {e}") from None
-    if not isinstance(doc, dict) or not set(keys) <= doc.keys():
-        raise ValueError(f"{path}: expected a JSON object with keys {list(keys)}")
+    with open(path) as f, naming(path):
+        doc = json.load(f)
+        if not isinstance(doc, dict) or not set(keys) <= doc.keys():
+            raise ValueError(f"expected a JSON object with keys {list(keys)}")
     return doc
 
 
 def read_sidecar(path, keys) -> dict | None:
     """``read_json`` of the sidecar of ``path``, None when there is none."""
-    try:
-        return read_json(sidecar_path(path), keys)
-    except FileNotFoundError:
-        return None
+    sidecar = sidecar_path(path)
+    return read_json(sidecar, keys) if os.path.exists(sidecar) else None
 
 
 def json_text(doc) -> str:
@@ -143,14 +155,15 @@ def read_curves(path) -> tuple[Dataset, dict]:
     then taken as raw with no degenerate rows. A manifest of another kind,
     an unknown normalization, degenerate rows that are not a list of ints
     or a curve count that is not an int (``check_types``) raise one
-    ValueError naming the manifest.
+    ``naming`` ValueError naming the manifest, a curve count the CSV does
+    not hold one naming the CSV.
     """
     manifest = (read_sidecar(path, ("kind", "normalization"))
                 or {"kind": "curves", "normalization": "raw", "degenerate": []})
     normalization = manifest["normalization"]
     degenerate = manifest.get("degenerate", [])
     n_curves = manifest.get("n_curves")
-    try:
+    with naming(sidecar_path(path)):
         if manifest["kind"] != "curves":
             raise ValueError("not a curves manifest")
         if normalization not in NORMALIZATIONS:
@@ -159,8 +172,6 @@ def read_curves(path) -> tuple[Dataset, dict]:
         check_types("degenerate", (degenerate,), (list,))
         check_types("a degenerate row index", degenerate, (int,))
         check_types("n_curves", (n_curves,), (int, type(None)))
-    except ValueError as e:
-        raise ValueError(f"{sidecar_path(path)}: {e}") from None
     degenerate = set(degenerate)
     normalized = normalization != "raw"
     # the manifest indexes curves, not lines, so a blank line shifts nothing
@@ -172,8 +183,7 @@ def read_curves(path) -> tuple[Dataset, dict]:
                          degenerate=next(index) in degenerate)
 
     dataset = Dataset(tuple(read_csv(path, CURVES_HEADER, parse)), normalization)
-    if n_curves is not None and n_curves != len(dataset):
-        raise ValueError(
-            f"{path}: manifest says {n_curves} curves, file has {len(dataset)}"
-        )
+    with naming(path):
+        if n_curves is not None and n_curves != len(dataset):
+            raise ValueError(f"manifest says {n_curves} curves, file has {len(dataset)}")
     return dataset, manifest

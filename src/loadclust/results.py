@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .curves import HOURS_PER_DAY, check_types
 from .distance import MetricConfig
-from .io import json_text, read_json, with_extra
+from .io import json_text, naming, read_json, with_extra
 
 #: What ``ClusteringResult.prototypes`` holds.
 MEDOID_INDEX = "medoid-index"
@@ -65,6 +65,9 @@ class ClusteringResult:
             raise ValueError("assignments must be non-empty")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        protos = tuple(self.prototypes)
+        if len(protos) != self.k:  # first: it bounds k before range(k)
+            raise ValueError(f"need {self.k} prototypes, got {len(protos)}")
         seen = set()
         for i, a in enumerate(labels):
             if not (0 <= a < self.k):
@@ -76,9 +79,6 @@ class ClusteringResult:
 
         if self.prototype_kind not in (MEDOID_INDEX, VECTOR):
             raise ValueError(f"unknown prototype kind {self.prototype_kind!r}")
-        protos = tuple(self.prototypes)
-        if len(protos) != self.k:
-            raise ValueError(f"need {self.k} prototypes, got {len(protos)}")
         if self.prototype_kind == MEDOID_INDEX:
             protos = tuple(int(p) for p in protos)
             for p in protos:
@@ -222,15 +222,13 @@ def load_result(path) -> ClusteringResult:
     """Rebuild a result from its JSON export.
 
     The trace is not serialized, so round-tripped results compare equal on
-    everything except ``trace``. A file that is not JSON, not an object,
-    lacks a field or holds a value of the wrong type or range raises one
-    ValueError naming it. Types are checked inside the fields too: the
-    descriptor's fields, each label and each medoid index (an int, not a
-    bool or a float), and each vector prototype (a list of ints and
-    floats, no strings or bools).
+    everything except ``trace``. A defect is one ``io.naming`` ValueError
+    naming the file: not JSON, not an object, or a field missing or of the
+    wrong type or range, inside the fields too (the descriptor's fields,
+    each label and medoid index, each vector prototype's entries).
     """
     doc = read_json(path, RESULT_FIELDS)
-    try:
+    with naming(path):
         for key, types in RESULT_FIELDS.items():
             check_types(key, (doc[key],), types)
         desc = doc["method"]
@@ -248,7 +246,7 @@ def load_result(path) -> ClusteringResult:
                 check_types("a prototype entry", p, (int, float))
         metric = None
         if "metric" in desc:
-            metric = MetricConfig(desc["metric"], desc.get("window", 4))
+            metric = MetricConfig(desc["metric"], desc.get("window", MetricConfig.window))
         return ClusteringResult(
             method=desc["algorithm"],
             k=doc["k"],
@@ -263,5 +261,3 @@ def load_result(path) -> ClusteringResult:
             linkage=desc.get("linkage"),
             init=desc.get("init"),
         )
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{path}: {e}") from None

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadclust import (Dataset, DistanceMatrix, LoadCurve, MethodSpec,
-                       MetricConfig, RawReading, SyntheticSpec,
+                       MetricConfig, RawReading, SweepReport, SyntheticSpec,
                        build_dendrogram, cut, cut_range, default_archetypes,
                        dtw, generate_synthetic, normalize_dataset,
                        pairwise_matrix, reshape_readings, sweep, z_normalize)
@@ -386,6 +386,10 @@ ENTRY_POINTS = {
     "cut_range k_max": (lambda t, v: cut_range(t[2], 2, v, t[1]), NOT_INTS),
     "MethodSpec size_weighted":  # a bool
         (lambda t, v: MethodSpec("ahc", size_weighted=v), (1, 1.0, "true")),
+    "SweepReport k":
+        (lambda t, v: SweepReport(MethodSpec("ahc"), [(v, 0.5)]), NOT_INTS),
+    "SweepReport wcbcr":  # an int or a float
+        (lambda t, v: SweepReport(MethodSpec("ahc"), [(2, v)]), (True, "0.5")),
 }
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shutil
 from datetime import date as Date
 
@@ -301,7 +302,51 @@ class TestCliCluster:
                      "--output", tmp_path / "b.json", "--k", 3,
                      "--window", 2, "--load-matrix", cache)
         assert rc == 2
-        assert "dtw(w=4)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cache}: ") and err.count("\n") == 1
+        assert "dtw(w=4)" in err
+
+    @pytest.mark.parametrize("header, message", [
+        ({"window": 2}, "matrix was built with dtw(w=2), run asks for dtw(w=4)"),
+        ({"n": 2}, "matrix is for 2 curves, dataset has 30"),
+    ], ids=["window", "n"])
+    def test_cache_that_does_not_fit_exits_2_naming_it(
+            self, tmp_path, synth_file, header, message, capsys):
+        """A valid cache whose header is another run's: the refusal names
+        the cache, however the header came to differ."""
+        cache = tmp_path / "m.dmx"
+        assert run_cli("cluster", "--input", synth_file, "--output",
+                       tmp_path / "a.json", "--k", 3, "--save-matrix", cache) == 0
+        line, body = cache.read_bytes().split(b"\n", 1)
+        if "n" in header:
+            body = body[:8]
+        cache.write_bytes(json.dumps({**json.loads(line), **header}).encode()
+                          + b"\n" + body)
+        capsys.readouterr()
+        rc = run_cli("sweep", "--input", synth_file, "--output",
+                     tmp_path / "s.csv", "--k-min", 2, "--k-max", 4,
+                     "--load-matrix", cache)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {cache}: cached {message}\n"
+
+    @pytest.mark.parametrize("method, status", [("ahc", 1), ("kmedoids", 0)])
+    def test_inf_in_cache(self, tmp_path, synth_file, method, status, capsys):
+        """``inf`` passes the load, as for a computed matrix: the ahc build
+        refuses it, and k-medoids reads it as an infinitely distant pair."""
+        cache = tmp_path / "m.dmx"
+        assert run_cli("cluster", "--input", synth_file, "--output",
+                       tmp_path / "a.json", "--k", 3, "--save-matrix", cache) == 0
+        line, body = cache.read_bytes().split(b"\n", 1)
+        values = np.frombuffer(body, "<f8").copy()
+        values[5] = math.inf
+        cache.write_bytes(line + b"\n" + values.astype("<f8").tobytes())
+        capsys.readouterr()
+        rc = run_cli("cluster", "--input", synth_file, "--output",
+                     tmp_path / "b.json", "--k", 3, "--method", method,
+                     "--load-matrix", cache)
+        assert rc == status
+        err = capsys.readouterr().err
+        assert err == "" if status == 0 else err.count("\n") == 1
 
     def test_normalization_conflict_exits_2(self, tmp_path, synth_file, capsys):
         ds, _ = read_curves(synth_file)
@@ -542,6 +587,75 @@ class TestCliMalformedSidecars:
                      "--k", 3)
         self.check_one_error_line(capsys, rc, side)
         assert not out.exists()
+
+
+class TestCliDefectiveFiles:
+    """A CSV field past the csv module's 131,072-character limit, a byte
+    that is not UTF-8 and JSON nested too deep to parse: each exits 1 with
+    one error line naming the file, and a CSV's line too."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, synth_file, capsys):
+        """Each command's input: the readings, curves and sweep CSVs, the
+        curves manifest, the sweep sidecar and the matrix cache."""
+        readings, sweep_csv = tmp_path / "readings.csv", tmp_path / "sweep.csv"
+        cache = tmp_path / "m.dmx"
+        write_readings(TestReadingsFiles().sample(), readings)
+        assert run_cli("sweep", "--input", synth_file, "--output", sweep_csv,
+                       "--k-min", 2, "--k-max", 4, "--save-matrix", cache) == 0
+        capsys.readouterr()
+        return {"readings": readings, "curves": synth_file, "sweep": sweep_csv,
+                "manifest": synth_file.with_name(synth_file.name + ".json"),
+                "sidecar": sweep_csv.with_name(sweep_csv.name + ".json"),
+                "cache": cache}
+
+    @staticmethod
+    def run_on(files, which, tmp_path):
+        """Exit status of the command that reads ``files[which]``."""
+        out = tmp_path / "out"
+        return run_cli(*{
+            "readings": ("ingest", "--input", files["readings"],
+                         "--output", out),
+            "sweep": ("elbow", "--input", files["sweep"]),
+            "sidecar": ("elbow", "--input", files["sweep"]),
+            "cache": ("cluster", "--input", files["curves"], "--output", out,
+                      "--k", 3, "--load-matrix", files["cache"]),
+        }.get(which, ("cluster", "--input", files["curves"], "--output", out,
+                      "--k", 3)))
+
+    def check(self, files, which, tmp_path, capsys, pattern):
+        assert self.run_on(files, which, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {re.escape(str(files[which]))}{pattern}\n",
+                            err), err[:300]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("which", ["readings", "curves", "sweep"])
+    def test_oversize_field(self, tmp_path, files, which, capsys):
+        path = files[which]
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = "9" * 140_000 + lines[2][lines[2].index(","):]
+        path.write_text("".join(lines))
+        self.check(files, which, tmp_path, capsys,
+                   r":3: field larger than field limit \(131072\)")
+
+    @pytest.mark.parametrize("which", ["readings", "curves", "sweep"])
+    def test_byte_not_utf8(self, tmp_path, files, which, capsys):
+        path = files[which]
+        data = path.read_bytes()
+        at = data.index(b"\n", data.index(b"\n") + 1) + 3  # on line 3
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        self.check(files, which, tmp_path, capsys,
+                   r":\d+: 'utf-8' codec can't decode byte 0xff in position "
+                   r"\d+: invalid start byte")
+
+    @pytest.mark.parametrize("which", ["manifest", "sidecar", "cache"])
+    def test_deep_json(self, tmp_path, files, which, capsys):
+        path = files[which]
+        body = path.read_bytes().split(b"\n", 1)[1] if which == "cache" else b""
+        path.write_bytes(b"[" * 100_000 + b"\n" + body)
+        self.check(files, which, tmp_path, capsys,
+                   ": maximum recursion depth exceeded.*")
 
 
 class TestCliMutatedArtifacts:

@@ -48,6 +48,9 @@ class TestClusteringResultValidation:
     def test_prototype_count_and_range(self):
         with pytest.raises(ValueError, match="prototypes"):
             medoid_result(prototypes=(0,))
+        # checked before the empty-cluster scan, which builds range(k)
+        with pytest.raises(ValueError, match="need 10000000000000 prototypes"):
+            medoid_result(k=10 ** 13)
         with pytest.raises(ValueError, match="out of range"):
             medoid_result(prototypes=(0, 5))
 
