@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import check_types
+from .curves import check_k
 from .distance import DistanceMatrix, MetricConfig, check_matrix, cluster_medoids
 from .results import MEDOID_INDEX, ClusteringResult
 
@@ -251,10 +251,7 @@ def cut_range(dendrogram: Dendrogram, k_min: int, k_max: int,
     memory.
     """
     n = dendrogram.n_leaves
-    check_types("k", (k_min, k_max), (int,))
-    if not (1 <= k_min <= k_max <= n):
-        got = k_min if k_min == k_max else f"[{k_min}, {k_max}]"
-        raise ValueError(f"k must be in [1, {n}], got {got}")
+    check_k(k_min, k_max, n, least=1)
     square = check_matrix(matrix, n, dendrogram.metric).to_square()
 
     leaves = {i: [i] for i in range(n)}  # cluster id -> its leaves

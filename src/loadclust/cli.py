@@ -2,12 +2,12 @@
 
 Every command is a pure file-in, file-out transformation plus at most one
 line on stdout; identical flags always produce byte-identical artifacts.
-Invalid flag combinations and hyperparameter values are rejected with a
-one-line diagnostic and exit status 2 before any file is read or any
-distance is computed. ``synth`` resolves its flags into a ``SyntheticSpec``,
-``cluster`` and ``sweep`` into a ``MethodSpec``; each spec owns and checks
-its values as it is built, and only the rules about flags themselves live
-here. Failures while running exit with status 1.
+Invalid flag combinations and hyperparameter values exit with status 2 and a
+one-line diagnostic before any file is read, and a k the input cannot hold
+right after it is read, before any distance is computed. ``synth`` resolves
+its flags into a ``SyntheticSpec``, ``cluster`` and ``sweep`` into a
+``MethodSpec``; each spec owns and checks its values as it is built, and
+only flag rules live here. Failures while running exit with status 1.
 
 Commands
 --------
@@ -28,8 +28,9 @@ import argparse
 import sys
 import warnings
 
-from .curves import PER_CURVE, PER_HOUR, RAW, SyntheticSpec, generate_synthetic, \
-    normalize_dataset, reshape_readings
+from .ahc import LINKAGES
+from .curves import PER_CURVE, PER_HOUR, RAW, SyntheticSpec, check_k, \
+    generate_synthetic, normalize_dataset, reshape_readings
 from .distance import METRIC_KINDS, MetricConfig, check_matrix, load_matrix, \
     pairwise_matrix, save_matrix
 from .evaluation import (MATRIX_METHODS, METHODS, DegenerateElbowWarning,
@@ -37,7 +38,7 @@ from .evaluation import (MATRIX_METHODS, METHODS, DegenerateElbowWarning,
                          wcbcr)
 from .io import read_curves, read_readings, write_curves
 from .partitional import FitError
-from .results import FitParams, save_result
+from .results import COVARIANCE_KINDS, FitParams, save_result
 
 class ConfigError(ValueError):
     """An invalid flag combination or hyperparameter value, caught before
@@ -48,11 +49,12 @@ def _resolve(args: argparse.Namespace) -> MethodSpec | SyntheticSpec | None:
     """Check the flag rules, then build the run's spec, before any I/O.
 
     Only the flag rules live here: the cache flags only for the matrix
-    methods, an explicit --covariance only for gmm, --window only with dtw,
-    the k ranges and synth's --seed. Every other rule, such as a metric
-    only for the matrix methods, is the spec's (``SyntheticSpec``,
-    ``MethodSpec`` and its ``FitParams``), and its ValueError becomes a
-    ConfigError. Returns None for ingest and elbow, which take no spec.
+    methods, an explicit --covariance only for gmm, --window only with dtw
+    and synth's --seed. The k range is ``check_k``'s, without the curve
+    count. Every other rule, such as a metric only for the matrix methods,
+    is the spec's (``SyntheticSpec``, ``MethodSpec`` and its ``FitParams``);
+    its ValueError, as ``check_k``'s, becomes a ConfigError. Returns None
+    for ingest and elbow, which take no spec.
     """
     command = args.command
     if command in ("ingest", "elbow"):
@@ -72,17 +74,12 @@ def _resolve(args: argparse.Namespace) -> MethodSpec | SyntheticSpec | None:
             raise ConfigError(
                 f"--window only applies to the dtw distance, not {args.distance}"
             )
-        if command == "cluster" and args.k < 2:
-            raise ConfigError(f"--k must be >= 2, got {args.k}")
-        if command == "sweep" and not (2 <= args.k_min <= args.k_max):
-            raise ConfigError(
-                f"need 2 <= k-min <= k-max, got [{args.k_min}, {args.k_max}]"
-            )
 
     try:
         if command == "synth":
             return SyntheticSpec.default(args.k_true, args.per_archetype,
                                          args.noise, args.shift)
+        check_k(*_k_range(args))
         metric = None
         if args.distance is not None or args.window is not None:
             window = MetricConfig.window if args.window is None else args.window
@@ -108,8 +105,8 @@ def _add_clustering_flags(p: argparse.ArgumentParser) -> None:
                    help="distance for matrix methods (default: dtw)")
     p.add_argument("--window", type=int, default=None,
                    help="Sakoe-Chiba band width for dtw (default: 4)")
-    p.add_argument("--linkage", choices=("single", "complete", "average"),
-                   default=None, help="ahc linkage (default: average)")
+    p.add_argument("--linkage", choices=LINKAGES, default=None,
+                   help="ahc linkage (default: average)")
     p.add_argument("--size-weighted", action="store_true", dest="size_weighted",
                    help="size-weighted average linkage instead of the two-term mean")
     p.add_argument("--seed", type=int, default=FitParams.seed)
@@ -119,7 +116,7 @@ def _add_clustering_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iterations", type=int, dest="max_iterations",
                    default=FitParams.max_iterations)
     p.add_argument("--tolerance", type=float, default=FitParams.tolerance)
-    p.add_argument("--covariance", choices=("diagonal", "full"), default=None,
+    p.add_argument("--covariance", choices=COVARIANCE_KINDS, default=None,
                    help="gmm covariance structure (default: diagonal)")
     p.add_argument("--save-matrix", default=None, dest="save_matrix",
                    help="write the pairwise distance matrix here")
@@ -165,23 +162,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _normalized_dataset(args):
+def _k_range(args) -> tuple:
+    """(k_min, k_max) of sweep, or cluster's one k as a range of one."""
+    return (args.k,) * 2 if args.command == "cluster" else (args.k_min, args.k_max)
+
+
+def _inputs(args, spec: MethodSpec) -> tuple:
+    """The run's curves, normalized, and its matrix: built, loaded and/or
+    saved per the cache flags, None for a vector method. A k range the
+    curves cannot hold is a ConfigError naming the input, raised before
+    any distance is computed."""
     dataset, _ = read_curves(args.input)
+    try:
+        check_k(*_k_range(args), len(dataset))
+    except ValueError as e:
+        raise ConfigError(f"{args.input}: {e}") from e
     if dataset.normalization == RAW:
-        return normalize_dataset(dataset, args.normalization)
-    if dataset.normalization != args.normalization:
+        dataset = normalize_dataset(dataset, args.normalization)
+    elif dataset.normalization != args.normalization:
         raise ConfigError(
             f"input is already normalized {dataset.normalization}, "
             f"which conflicts with --normalization {args.normalization}"
         )
-    return dataset
-
-
-def _prepare_matrix(args, spec: MethodSpec, dataset):
-    """Build, load, and/or persist the pairwise matrix per the cache flags;
-    None for the vector methods, which use no matrix."""
     if spec.method not in MATRIX_METHODS:
-        return None
+        return dataset, None
     if args.load_matrix:
         matrix = load_matrix(args.load_matrix)
         try:
@@ -192,7 +196,7 @@ def _prepare_matrix(args, spec: MethodSpec, dataset):
         matrix = pairwise_matrix(dataset, spec.metric)
     if args.save_matrix:
         save_matrix(matrix, args.save_matrix)
-    return matrix
+    return dataset, matrix
 
 
 def _run_ingest(args, spec) -> int:
@@ -221,8 +225,7 @@ def _run_synth(args, spec: SyntheticSpec) -> int:
 
 
 def _run_cluster(args, spec: MethodSpec) -> int:
-    dataset = _normalized_dataset(args)
-    matrix = _prepare_matrix(args, spec, dataset)
+    dataset, matrix = _inputs(args, spec)
     result = fit(dataset, spec, args.k, matrix=matrix)
     save_result(result, args.output,
                 extra_method_fields={"normalization": dataset.normalization,
@@ -233,8 +236,7 @@ def _run_cluster(args, spec: MethodSpec) -> int:
 
 
 def _run_sweep(args, spec: MethodSpec) -> int:
-    dataset = _normalized_dataset(args)
-    matrix = _prepare_matrix(args, spec, dataset)
+    dataset, matrix = _inputs(args, spec)
     report = sweep(dataset, spec, args.k_min, args.k_max, matrix=matrix)
     save_sweep(report, args.output)
     for line in report.diagnostics:
@@ -265,8 +267,8 @@ _RUNNERS = {
 
 def main(argv=None) -> int:
     """Run one command; returns the process exit status: 2 for a usage or
-    configuration error, caught before any input is read, and 1 for a
-    failure while running."""
+    configuration error, caught before any input is read (a k the input
+    cannot hold: right after it), and 1 for a failure while running."""
     args = build_parser().parse_args(argv)
     try:
         spec = _resolve(args)

@@ -42,6 +42,19 @@ def check_types(name: str, values, want: tuple) -> None:
             raise ValueError(f"{name} has the wrong type: {v!r}")
 
 
+def check_k(k_min, k_max, n=None, least: int = 2) -> None:
+    """The one rule for a cluster count (``k_min == k_max``) or a k range:
+    ints (``check_types``) with ``least <= k_min <= k_max <= n``, ``n`` the
+    curve count where known; else one ValueError. ``least`` is 1 only where
+    one cluster means something: a hierarchy cut, a result."""
+    check_types("k", (k_min, k_max), (int,))
+    if not least <= k_min <= k_max <= (k_max if n is None else n):
+        rule, got = (("k", k_min) if k_min == k_max
+                     else ("k_min <= k_max", f"[{k_min}, {k_max}]"))
+        top = "" if n is None else f" <= {n}"
+        raise ValueError(f"k must satisfy {least} <= {rule}{top}, got {got}")
+
+
 @dataclass(frozen=True)
 class LoadCurve:
     """One day of hourly consumption for one household.
@@ -260,11 +273,7 @@ ARCHETYPE_SHAPES = {
 
 def default_archetypes(k: int) -> tuple:
     """First ``k`` built-in archetype templates as value tuples."""
-    check_types("k", (k,), (int,))
-    if not (1 <= k <= len(ARCHETYPE_ORDER)):
-        raise ValueError(
-            f"k must be in [1, {len(ARCHETYPE_ORDER)}] for built-in archetypes"
-        )
+    check_k(k, k, len(ARCHETYPE_ORDER), least=1)
     return tuple(
         tuple(float(v) for v in ARCHETYPE_SHAPES[name])
         for name in ARCHETYPE_ORDER[:k]

@@ -479,7 +479,7 @@ def save_matrix(matrix: DistanceMatrix, path) -> None:
     }
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        f.write(matrix.condensed.astype("<f8").tobytes())
+        f.write(np.ascontiguousarray(matrix.condensed, dtype="<f8"))  # no copy
 
 
 def load_matrix(path) -> DistanceMatrix:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .ahc import LINKAGES, build_dendrogram, cut, cut_range
-from .curves import check_types
+from .curves import check_k, check_types
 from .distance import (MetricConfig, UnnormalizedDataWarning, check_matrix,
                        paired_distances, pairwise_matrix, total_distance)
 from .io import naming, read_csv, read_sidecar, sidecar_path, write_csv
@@ -185,8 +185,11 @@ def fit(dataset, spec: MethodSpec, k: int, matrix=None) -> ClusteringResult:
     For the matrix methods, a precomputed ``matrix`` skips the expensive
     pairwise step; sweep exploits this to build it at most once. A
     ``matrix`` for another number of curves or another metric, or one
-    given to a vector method, raises ValueError.
+    given to a vector method, raises ValueError, and so does a k the
+    dataset cannot hold (``check_k``, least 1 for ahc's one-cluster cut),
+    before any distance is computed.
     """
+    check_k(k, k, len(dataset), least=1 if spec.method == "ahc" else 2)
     matrix = _matrix(dataset, spec, matrix)
     if spec.method == "ahc":
         return cut(build_dendrogram(matrix, spec.linkage, spec.size_weighted),
@@ -245,12 +248,7 @@ def sweep(dataset, spec: MethodSpec, k_min: int, k_max: int,
     freed its working square. A fit that fails at some k becomes a
     diagnostic line, not an abort; deterministic throughout.
     """
-    n = len(dataset)
-    check_types("k", (k_min, k_max), (int,))
-    if not (2 <= k_min <= k_max <= n):
-        raise ValueError(
-            f"need 2 <= k_min <= k_max <= {n}, got [{k_min}, {k_max}]"
-        )
+    check_k(k_min, k_max, len(dataset))
     matrix = _matrix(dataset, spec, matrix)
     dendrogram, cuts = None, {}
     if spec.method == "ahc":

@@ -59,9 +59,9 @@ def write_csv(path, header, rows, sidecar=None) -> None:
 
 def read_csv(path, header, parse) -> list:
     """``parse(row)`` of every non-empty row after ``header``. A wrong
-    header or field count, or any of ``FILE_ERRORS`` (such as a byte that is
-    not UTF-8, at the line the reader had reached), raises one ValueError
-    prefixed ``path:line:``."""
+    header or field count, or any of ``FILE_ERRORS``, raises one ValueError
+    prefixed ``path:line:``; a byte that does not decode is named by its
+    own line and its offset in the file (``_bad_byte``)."""
     out = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -78,8 +78,23 @@ def read_csv(path, header, parse) -> list:
                     raise ValueError(f"expected {len(header)} fields, got {len(row)}")
                 out.append(parse(row))
         except FILE_ERRORS as e:
+            if isinstance(e, UnicodeDecodeError):
+                _bad_byte(path, e.encoding)
             raise ValueError(f"{path}:{reader.line_num or 1}: {e}") from None
     return out
+
+
+def _bad_byte(path, encoding) -> None:
+    """Raise the ``path:line:`` ValueError of the file's first byte that
+    does not decode: the text reader's error counts from its decode chunk,
+    and the csv reader may be lines behind that chunk."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        data.decode(encoding)
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{path}:{line}: {e}") from None
 
 
 def read_readings(path) -> list:

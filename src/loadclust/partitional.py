@@ -25,6 +25,7 @@ import math
 
 import numpy as np
 
+from .curves import check_k
 from .distance import (DistanceMatrix, MetricConfig, check_matrix,
                        cluster_medoids, pairwise_matrix)
 from .results import MEDOID_INDEX, VECTOR, ClusteringResult, FitOptions
@@ -47,8 +48,7 @@ def _checked_matrix(dataset, k: int) -> np.ndarray:
             "call normalize_dataset first"
         )
     X = dataset.to_matrix()
-    if k > len(X):
-        raise ValueError(f"k={k} exceeds dataset size {len(X)}")
+    check_k(k, k, len(X))
     return X
 
 
@@ -392,10 +392,7 @@ def _gmm_single(X, k, seed, options):
     n, d = X.shape
     kind = options.covariance_kind
     reg = options.covariance_regularizer
-    try:
-        weights, means, covs = _gmm_init(X, k, seed, options)
-    except np.linalg.LinAlgError:
-        return None
+    weights, means, covs = _gmm_init(X, k, seed, options)
 
     trace = []
     prev_ll = -math.inf

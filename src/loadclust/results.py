@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curves import HOURS_PER_DAY, check_types
+from .curves import HOURS_PER_DAY, check_k, check_types
 from .distance import MetricConfig
 from .io import json_text, naming, read_json, with_extra
 
@@ -63,8 +63,7 @@ class ClusteringResult:
         labels = tuple(int(a) for a in self.assignments)
         if not labels:
             raise ValueError("assignments must be non-empty")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        check_k(self.k, self.k, least=1)
         protos = tuple(self.prototypes)
         if len(protos) != self.k:  # first: it bounds k before range(k)
             raise ValueError(f"need {self.k} prototypes, got {len(protos)}")
@@ -117,6 +116,8 @@ class ClusteringResult:
 FIT_PARAM_TYPES = {"seed": (int,), "restarts": (int,), "max_iterations": (int,),
                    "tolerance": (int, float), "covariance_regularizer": (int, float)}
 
+COVARIANCE_KINDS = ("diagonal", "full")  # gmm's, the default first
+
 
 @dataclass(frozen=True, kw_only=True)
 class FitParams:
@@ -147,11 +148,9 @@ class FitParams:
             raise ValueError("tolerance must be > 0")
         if not (self.covariance_regularizer > 0):
             raise ValueError("covariance_regularizer must be > 0")
-        if self.covariance_kind not in ("diagonal", "full"):
-            raise ValueError(
-                f"covariance_kind must be 'diagonal' or 'full', "
-                f"got {self.covariance_kind!r}"
-            )
+        if self.covariance_kind not in COVARIANCE_KINDS:
+            raise ValueError(f"covariance_kind must be one of {COVARIANCE_KINDS}, "
+                             f"got {self.covariance_kind!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -163,9 +162,7 @@ class FitOptions(FitParams):
     k: int
 
     def __post_init__(self):
-        check_types("k", (self.k,), (int,))
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
+        check_k(self.k, self.k)
         super().__post_init__()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -302,7 +303,8 @@ class TestCut:
     def test_bad_k_and_matrix_mismatch(self, built):
         m, d = built
         for k in (0, 6):
-            with pytest.raises(ValueError, match="k must be"):
+            with pytest.raises(ValueError,
+                               match=f"^k must satisfy 1 <= k <= 5, got {k}$"):
                 cut(d, k, m)
         small = square_to_matrix([[0, 1], [1, 0]])
         with pytest.raises(ValueError,
@@ -335,7 +337,8 @@ class TestCut:
     def test_bad_range(self, built):
         m, d = built
         for lo, hi in [(0, 3), (2, 6), (4, 3)]:
-            with pytest.raises(ValueError, match="k must be"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"k must satisfy 1 <= k_min <= k_max <= 5, got [{lo}, {hi}]")):
                 cut_range(d, lo, hi, m)
 
 

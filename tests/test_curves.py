@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loadclust import (Dataset, DistanceMatrix, LoadCurve, MethodSpec,
-                       MetricConfig, RawReading, SweepReport, SyntheticSpec,
-                       build_dendrogram, cut, cut_range, default_archetypes,
-                       dtw, generate_synthetic, normalize_dataset,
-                       pairwise_matrix, reshape_readings, sweep, z_normalize)
+from loadclust import (ClusteringResult, Dataset, DistanceMatrix, FitOptions,
+                       LoadCurve, MethodSpec, MetricConfig, RawReading,
+                       SweepReport, SyntheticSpec, build_dendrogram, cut,
+                       cut_range, default_archetypes, dtw, fit,
+                       generate_synthetic, gmm_em, kmeans, kmedoids,
+                       normalize_dataset, pairwise_matrix, reshape_readings,
+                       sweep, z_normalize)
 from loadclust.curves import ARCHETYPE_ORDER, HOURS_PER_DAY, PER_HOUR
+from loadclust.evaluation import METHODS
+from loadclust.results import MEDOID_INDEX
 
 from conftest import make_curve, per_hour_oracle, z_normalize_oracle
 
@@ -390,6 +394,16 @@ ENTRY_POINTS = {
         (lambda t, v: SweepReport(MethodSpec("ahc"), [(v, 0.5)]), NOT_INTS),
     "SweepReport wcbcr":  # an int or a float
         (lambda t, v: SweepReport(MethodSpec("ahc"), [(2, v)]), (True, "0.5")),
+    "FitOptions k": (lambda t, v: FitOptions(k=v), NOT_INTS),
+    "kmeans k": (lambda t, v: kmeans(t[0], FitOptions(k=v)), NOT_INTS),
+    "kmedoids k":
+        (lambda t, v: kmedoids(t[0], FitOptions(k=v), matrix=t[1]), NOT_INTS),
+    "gmm_em k": (lambda t, v: gmm_em(t[0], FitOptions(k=v)), NOT_INTS),
+    **{f"fit {method} k":
+       (lambda t, v, method=method: fit(t[0], MethodSpec(method), v), NOT_INTS)
+       for method in METHODS},
+    "ClusteringResult k": (lambda t, v: ClusteringResult(
+        "ahc", v, (0, 1), (0, 1), MEDOID_INDEX, 0.0, 1, True), NOT_INTS),
 }
 
 
@@ -402,4 +416,53 @@ def test_wrong_type_is_one_value_error_at_every_entry_point(tiny, entry,
     call, _ = ENTRY_POINTS[entry]
     with pytest.raises(ValueError,
                        match=re.escape(f"has the wrong type: {value!r}") + "$"):
+        call(tiny, value)
+
+
+#: Every entry point of a cluster count or a k range (``ENTRY_POINTS``):
+#: its least k, the largest k it can hold (None where it knows no curve
+#: count) and which k it is: one k, or the k_min or k_max of a range whose
+#: other end is 4 or 2, as in ``ENTRY_POINTS``.
+K_RULES = {
+    "default_archetypes k": (1, len(ARCHETYPE_ORDER), "k"),
+    "sweep k_min": (2, 6, "k_min"),
+    "sweep k_max": (2, 6, "k_max"),
+    "cut k": (1, 6, "k"),
+    "cut_range k_min": (1, 6, "k_min"),
+    "cut_range k_max": (1, 6, "k_max"),
+    "FitOptions k": (2, None, "k"),
+    "kmeans k": (2, 6, "k"),
+    "kmedoids k": (2, 6, "k"),
+    "gmm_em k": (2, 6, "k"),
+    **{f"fit {method} k": (1 if method == "ahc" else 2, 6, "k")
+       for method in METHODS},
+    "ClusteringResult k": (1, None, "k"),
+}
+
+#: Entry points whose k reaches them in a FitOptions, which refuses a k
+#: below 2 without knowing the curve count.
+TAKE_OPTIONS = ("kmeans k", "kmedoids k", "gmm_em k")
+
+
+def k_refusal(entry, value) -> str:
+    """The one wording of ``check_k`` for ``value`` at ``entry``."""
+    least, n, role = K_RULES[entry]
+    if value < least and entry in TAKE_OPTIONS:
+        n = None
+    top = "" if n is None else f" <= {n}"
+    if role == "k":
+        return f"k must satisfy {least} <= k{top}, got {value}"
+    lo, hi = (value, 4) if role == "k_min" else (2, value)
+    return f"k must satisfy {least} <= k_min <= k_max{top}, got [{lo}, {hi}]"
+
+
+@pytest.mark.parametrize("entry, value", [
+    (entry, v) for entry, (least, n, _) in K_RULES.items()
+    for v in (least - 1, *(() if n is None else (n + 1,)))])
+def test_bad_k_is_one_wording_at_every_entry_point(tiny, entry, value):
+    """A k below its least, or above the curve count where one is known:
+    the one ``check_k`` refusal, word for word, at every entry point."""
+    call, _ = ENTRY_POINTS[entry]
+    with pytest.raises(ValueError,
+                       match="^" + re.escape(k_refusal(entry, value)) + "$"):
         call(tiny, value)

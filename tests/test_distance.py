@@ -462,6 +462,22 @@ class TestMatrixFiles:
         assert len(body) == 8 * 435
         assert body == noisy_matrix.condensed.astype("<f8").tobytes()
 
+    def test_body_written_without_a_copy(self, tmp_path):
+        """The vector's own buffer is written: the save allocates well
+        under n^2 bytes (a copy of the 4n^2-byte vector, or two, did not)."""
+        n = 800
+        vec = np.random.default_rng(0).random(n * (n - 1) // 2)
+        matrix = DistanceMatrix(n, vec, MetricConfig("euclidean"))
+        p = tmp_path / "m.dmx"
+        tracemalloc.start()
+        save_matrix(matrix, p)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < n * n
+        line, body = p.read_bytes().split(b"\n", 1)
+        assert json.loads(line)["n"] == n
+        assert body == vec.astype("<f8").tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 40), data=st.data())
     def test_round_trip_is_exact(self, n, data):

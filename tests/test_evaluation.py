@@ -319,6 +319,22 @@ class TestRawKmedoidsRefusedFirst:
                                            for k in (2, 3, 4))
 
 
+@pytest.mark.parametrize("method, least", [("ahc", 1), ("kmedoids", 2)])
+def test_impossible_k_computes_no_distance(noisy_dataset, monkeypatch,
+                                           method, least):
+    """A k the 30 curves cannot hold is refused before ``fit`` computes a
+    matrix or builds a tree."""
+    def forbidden(*a, **kw):
+        raise AssertionError("nothing should be computed for k=31")
+
+    monkeypatch.setattr(ev, "pairwise_matrix", forbidden)
+    monkeypatch.setattr(ev, "build_dendrogram", forbidden)
+    ds, _ = noisy_dataset
+    with pytest.raises(ValueError,
+                       match=f"^k must satisfy {least} <= k <= 30, got 31$"):
+        fit(ds, MethodSpec(method), 31)
+
+
 class TestSweep:
     def test_golden_scores_and_elbow(self, noisy_dataset, noisy_matrix):
         ds, _ = noisy_dataset

@@ -472,6 +472,24 @@ class TestCliRejections:
             assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, refusal", [
+        (("cluster", "--k", 31), "2 <= k <= 30, got 31"),
+        (("sweep", "--k-min", 2, "--k-max", 40),
+         "2 <= k_min <= k_max <= 30, got [2, 40]"),
+    ])
+    def test_k_the_input_cannot_hold_exits_2_writing_nothing(
+            self, tmp_path, synth_file, argv, refusal, capsys):
+        """Refused right after the 30 curves are read, before a distance is
+        computed: one error line naming the input, no cache, no output."""
+        rc = run_cli(argv[0], "--input", synth_file, "--output",
+                     tmp_path / "out", *argv[1:], "--save-matrix",
+                     tmp_path / "m.dmx")
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: {synth_file}: k must satisfy {refusal}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["curves.csv", "curves.csv.json"]
+
 
 class TestCliSweepAndElbow:
     def test_sweep_then_elbow(self, tmp_path, synth_file, capsys):
@@ -587,6 +605,23 @@ class TestCliMalformedSidecars:
                      "--k", 3)
         self.check_one_error_line(capsys, rc, side)
         assert not out.exists()
+
+
+def test_non_utf8_byte_named_by_its_own_line_and_file_offset(tmp_path):
+    """Past the first decode chunk the csv reader is lines behind the
+    decoder, and the codec counts from its chunk: the error names the
+    byte's own line and its offset in the file."""
+    ds, _ = generate_synthetic(SyntheticSpec.default(4, 20), seed=1)
+    path = tmp_path / "bad.csv"
+    write_curves(ds, path)
+    data = path.read_bytes()
+    at = sum(len(line) + 1 for line in data.split(b"\n")[:25]) + 41  # line 26
+    assert at > 8192
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{path}:26: 'utf-8' codec can't decode byte 0xff in position "
+            f"{at}: invalid start byte") + "$"):
+        read_curves(path)
 
 
 class TestCliDefectiveFiles:

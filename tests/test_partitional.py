@@ -165,7 +165,7 @@ class TestKmeans:
 
     def test_k_larger_than_n(self):
         ds = embed_1d([0.0, 1.0], normalized=True)
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match="^k must satisfy 2 <= k <= 2, got 3$"):
             kmeans(ds, FitOptions(k=3))
 
     def test_bad_init_name(self, noisy_dataset):
