@@ -227,10 +227,10 @@ def _run_synth(args, spec: SyntheticSpec) -> int:
 def _run_cluster(args, spec: MethodSpec) -> int:
     dataset, matrix = _inputs(args, spec)
     result = fit(dataset, spec, args.k, matrix=matrix)
+    score = wcbcr(result, dataset)  # first: a result it refuses is not written
     save_result(result, args.output,
                 extra_method_fields={"normalization": dataset.normalization,
                                      "restarts": spec.restarts})
-    score = wcbcr(result, dataset)
     print(f"wcbcr={score!r}")
     return 0
 

@@ -169,9 +169,9 @@ def read_curves(path) -> tuple[Dataset, dict]:
     A missing manifest is tolerated for hand-made files: the dataset is
     then taken as raw with no degenerate rows. A manifest of another kind,
     an unknown normalization, degenerate rows that are not a list of ints
-    or a curve count that is not an int (``check_types``) raise one
-    ``naming`` ValueError naming the manifest, a curve count the CSV does
-    not hold one naming the CSV.
+    (``check_types``) or that name no curve of the file, or a curve count
+    that is not an int raise one ``naming`` ValueError naming the manifest,
+    a curve count the CSV does not hold one naming the CSV.
     """
     manifest = (read_sidecar(path, ("kind", "normalization"))
                 or {"kind": "curves", "normalization": "raw", "degenerate": []})
@@ -201,4 +201,9 @@ def read_curves(path) -> tuple[Dataset, dict]:
     with naming(path):
         if n_curves is not None and n_curves != len(dataset):
             raise ValueError(f"manifest says {n_curves} curves, file has {len(dataset)}")
+    with naming(sidecar_path(path)):
+        stray = sorted(i for i in degenerate if not 0 <= i < len(dataset))
+        if stray:
+            raise ValueError(f"degenerate rows {stray} name no curve of "
+                             f"the {len(dataset)} in the file")
     return dataset, manifest

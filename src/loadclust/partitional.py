@@ -2,9 +2,10 @@
 Gaussian mixture fit by EM.
 
 These are the methods the hierarchy is compared against. All of them are
-restarted local searches: ``restarts`` independent runs are fitted with
-generator seeds ``seed, seed+1, ...`` and the run with the best objective
-wins (ties to the earliest restart); a mixture restart that degenerates is
+restarted local searches, and one driver, ``_best_run``, owns the restart
+rule for all three: ``restarts`` independent runs are fitted with generator
+seeds ``seed, seed+1, ...`` and the run with the best final objective wins
+(ties to the earliest restart); a mixture restart that degenerates is
 discarded, never repaired. Every fit is deterministic for a fixed
 (dataset, options), down to the bytes of the exported JSON.
 
@@ -50,6 +51,32 @@ def _checked_matrix(dataset, k: int) -> np.ndarray:
     X = dataset.to_matrix()
     check_k(k, k, len(X))
     return X
+
+
+def _best_run(method: str, options: FitOptions, single, prototype_kind: str,
+              metric: MetricConfig, init: str | None = None,
+              higher_is_better: bool = False) -> ClusteringResult | None:
+    """The restart rule of every partitional fit, and its one result.
+
+    Restart r is ``single(options.seed + r)``: a run's
+    ``(labels, prototypes, trace, iterations, converged)``, or None for a
+    discarded run. The kept run with the best final objective ``trace[-1]``
+    wins, and it is the result's objective; builtin ``min`` and ``max``
+    keep the first of equal keys, so ties go to the earliest restart.
+    Returns None when every run was discarded.
+    """
+    runs = (single(options.seed + r) for r in range(options.restarts))
+    best = (max if higher_is_better else min)(
+        (run for run in runs if run is not None),
+        key=lambda run: run[2][-1], default=None)
+    if best is None:
+        return None
+    labels, prototypes, trace, iterations, converged = best
+    return ClusteringResult(
+        method=method, k=options.k, assignments=labels, prototypes=prototypes,
+        prototype_kind=prototype_kind, objective=trace[-1],
+        iterations=iterations, converged=converged, seed=options.seed,
+        metric=metric, init=init, trace=trace)
 
 
 def _repair_empty(labels: np.ndarray, k: int, point_cost: np.ndarray) -> np.ndarray:
@@ -198,28 +225,15 @@ def kmeans(dataset, options: FitOptions, init: str = "random") -> ClusteringResu
         raise ValueError(f"init must be one of {INITS}, got {init!r}")
     X = _checked_matrix(dataset, options.k)
 
-    runs = (_plusplus_run(X, options.k, options.seed + r,
-                          options.max_iterations, options.tolerance)
-            if init == "plusplus" else
-            _kmeans_single(X, options.k, options.seed + r, init,
-                           options.max_iterations, options.tolerance)
-            for r in range(options.restarts))
-    labels, centroids, trace, iterations, converged = min(
-        runs, key=lambda run: run[2][-1])
-    return ClusteringResult(
-        method="kmeans",
-        k=options.k,
-        assignments=labels,
-        prototypes=centroids,
-        prototype_kind=VECTOR,
-        objective=trace[-1],
-        iterations=iterations,
-        converged=converged,
-        seed=options.seed,
-        metric=MetricConfig("euclidean"),
-        init=init,
-        trace=trace,
-    )
+    def single(seed):
+        if init == "plusplus":
+            return _plusplus_run(X, options.k, seed, options.max_iterations,
+                                 options.tolerance)
+        return _kmeans_single(X, options.k, seed, init, options.max_iterations,
+                              options.tolerance)
+
+    return _best_run("kmeans", options, single, VECTOR,
+                     MetricConfig("euclidean"), init)
 
 
 # --- K-medoids --------------------------------------------------------------
@@ -287,27 +301,13 @@ def kmedoids(dataset, options: FitOptions,
     S = matrix.to_square()
 
     memo = {}  # member set -> medoid, for this fit's restarts only
-    labels, medoids, trace, iterations, converged = min(
-        (_kmedoids_single(S, options.k, options.seed + r,
-                          options.max_iterations, memo)
-         for r in range(options.restarts)),
-        key=lambda run: run[2][-1])
-
     # label c is the cluster of medoids[c]: labels are argmin positions into
     # the sorted medoid array, so no relabeling is needed
-    return ClusteringResult(
-        method="kmedoids",
-        k=options.k,
-        assignments=labels,
-        prototypes=medoids,
-        prototype_kind=MEDOID_INDEX,
-        objective=trace[-1],
-        iterations=iterations,
-        converged=converged,
-        seed=options.seed,
-        metric=matrix.metric,
-        trace=trace,
-    )
+    return _best_run(
+        "kmedoids", options,
+        lambda seed: _kmedoids_single(S, options.k, seed,
+                                      options.max_iterations, memo),
+        MEDOID_INDEX, matrix.metric)
 
 
 # --- Gaussian mixture -------------------------------------------------------
@@ -432,7 +432,7 @@ def _gmm_single(X, k, seed, options):
                 diff = X - means[c]
                 covs[c] = (diff.T * resp[:, c]) @ diff / nk[c] + reg * np.eye(d)
 
-    return assignments, fitted, trace, iterations, converged, avg_ll
+    return assignments, fitted, trace, iterations, converged
 
 
 def gmm_em(dataset, options: FitOptions) -> ClusteringResult:
@@ -453,28 +453,12 @@ def gmm_em(dataset, options: FitOptions) -> ClusteringResult:
     (higher is better, unlike the other methods).
     """
     X = _checked_matrix(dataset, options.k)
-
-    runs = (_gmm_single(X, options.k, options.seed + r, options)
-            for r in range(options.restarts))
-    best = max((run for run in runs if run is not None),
-               key=lambda run: run[5], default=None)
-    if best is None:
+    result = _best_run(
+        "gmm", options, lambda seed: _gmm_single(X, options.k, seed, options),
+        VECTOR, MetricConfig("euclidean"), "plusplus", higher_is_better=True)
+    if result is None:
         raise FitError(
             f"gaussian mixture failed on all {options.restarts} restarts "
             "(non-finite log-likelihood or a component left without a point)"
         )
-    assignments, means, trace, iterations, converged, avg_ll = best
-    return ClusteringResult(
-        method="gmm",
-        k=options.k,
-        assignments=assignments,
-        prototypes=means,
-        prototype_kind=VECTOR,
-        objective=avg_ll,
-        iterations=iterations,
-        converged=converged,
-        seed=options.seed,
-        metric=MetricConfig("euclidean"),
-        init="plusplus",
-        trace=trace,
-    )
+    return result

@@ -127,7 +127,9 @@ class FitParams:
     Gaussian mixture; the rest apply to every partitional method. Restart r
     of a fit seeds its generator with ``seed + r``. The fields are
     keyword-only, so subclasses keep their own fields positional. A wrong
-    type (``FIT_PARAM_TYPES``: no bools, no float counts) raises ValueError.
+    type (``FIT_PARAM_TYPES``: no bools, no float counts) raises ValueError,
+    as does a ``tolerance`` or ``covariance_regularizer`` that is not
+    finite and > 0.
     """
 
     seed: int = 0
@@ -144,10 +146,9 @@ class FitParams:
             raise ValueError("seed must be >= 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (self.tolerance > 0):
-            raise ValueError("tolerance must be > 0")
-        if not (self.covariance_regularizer > 0):
-            raise ValueError("covariance_regularizer must be > 0")
+        for name in ("tolerance", "covariance_regularizer"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and > 0")
         if self.covariance_kind not in COVARIANCE_KINDS:
             raise ValueError(f"covariance_kind must be one of {COVARIANCE_KINDS}, "
                              f"got {self.covariance_kind!r}")

@@ -211,6 +211,7 @@ class TestMethodSpec:
     @pytest.mark.parametrize("method", ["ahc", "kmeans", "kmedoids", "gmm"])
     @pytest.mark.parametrize("kw", [
         dict(max_iterations=0), dict(tolerance=0.0), dict(tolerance=math.nan),
+        dict(tolerance=math.inf), dict(covariance_regularizer=math.inf),
         dict(covariance_regularizer=0.0), dict(covariance_kind="tied"),
         dict(restarts=0), dict(seed=-1),
         # a value of the wrong type is a ValueError too, not a TypeError
@@ -546,7 +547,7 @@ class TestSweepFiles:
         'size_weighted="yes"', "size_weighted=1", "restarts=0",
         'tolerance="1e-4"', "max_iterations=0", 'covariance_kind="bogus"',
         "covariance_regularizer=-1.0", "restarts=2.0", "restarts=true",
-        "seed=1.5"])
+        "seed=1.5", "tolerance=Infinity", "covariance_regularizer=1e999"])
     def test_bad_spec_value_is_one_error_naming_the_sidecar(
             self, tmp_path, report, how):
         p = tmp_path / "s.csv"

@@ -7,14 +7,14 @@ from datetime import date as Date
 import numpy as np
 import pytest
 
-from loadclust import (MethodSpec, MetricConfig, RawReading, SyntheticSpec,
-                       generate_synthetic, load_result, load_sweep,
-                       normalize_dataset)
+from loadclust import (Dataset, MethodSpec, MetricConfig, RawReading,
+                       SyntheticSpec, generate_synthetic, load_result,
+                       load_sweep, normalize_dataset)
 from loadclust.cli import main
 from loadclust.io import (read_curves, read_readings, write_curves,
                           write_readings)
 
-from conftest import best_match_accuracy
+from conftest import best_match_accuracy, make_curve
 
 
 class TestReadingsFiles:
@@ -348,6 +348,20 @@ class TestCliCluster:
         err = capsys.readouterr().err
         assert err == "" if status == 0 else err.count("\n") == 1
 
+    def test_score_refusal_writes_no_result(self, tmp_path, capsys):
+        """Ten copies of one curve: both prototypes of the k=2 cut are the
+        same curve, which the score refuses before a result is written."""
+        curves = tmp_path / "same.csv"
+        write_curves(Dataset(tuple(make_curve(range(24), hid=f"h{i}")
+                                   for i in range(10))), curves)
+        out = tmp_path / "r.json"
+        rc = run_cli("cluster", "--input", curves, "--output", out, "--k", 2)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: all cluster prototypes are identical")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_normalization_conflict_exits_2(self, tmp_path, synth_file, capsys):
         ds, _ = read_curves(synth_file)
         norm = tmp_path / "norm.csv"
@@ -385,6 +399,9 @@ METHOD_RULES = [
     (("--max-iterations", "0"), dict(method="ahc", max_iterations=0)),
     (("--tolerance", "0"), dict(method="ahc", tolerance=0.0)),
     (("--tolerance", "nan"), dict(method="ahc", tolerance=math.nan)),
+    (("--tolerance", "inf"), dict(method="ahc", tolerance=math.inf)),
+    (("--method", "kmeans", "--tolerance", "1e999"),
+     dict(method="kmeans", tolerance=math.inf)),
     (("--method", "kmeans", "--seed", "-1"), dict(method="kmeans", seed=-1)),
 ]
 
@@ -418,6 +435,9 @@ class TestCliRejections:
         ("cluster", "--k", "3", "--max-iterations", "0"),
         ("cluster", "--k", "3", "--tolerance", "0"),
         ("cluster", "--k", "3", "--tolerance", "nan"),
+        ("cluster", "--k", "3", "--method", "kmeans", "--tolerance", "inf"),
+        ("sweep", "--k-min", "2", "--k-max", "4", "--method", "kmeans",
+         "--tolerance", "1e999"),
         ("cluster", "--k", "3", "--method", "ahc", "--restarts", "0"),
         ("sweep", "--k-min", "2", "--k-max", "4", "--method", "gmm",
          "--restarts", "-3"),
@@ -597,7 +617,8 @@ class TestCliMalformedSidecars:
     @pytest.mark.parametrize("how", ["not JSON", "not an object", "missing key",
                                      "degenerate=5", 'normalization="zscore"',
                                      'n_curves="30"', "n_curves=true",
-                                     "n_curves=30.0"])
+                                     "n_curves=30.0", "degenerate=[99]",
+                                     "degenerate=[-1]"])
     def test_curves_manifest(self, tmp_path, synth_file, how, capsys):
         side = self.damage(synth_file, how, "normalization")
         out = tmp_path / "r.json"

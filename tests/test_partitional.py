@@ -14,8 +14,9 @@ from loadclust import (Dataset, FitError, FitOptions, MetricConfig,
                        SyntheticSpec, generate_synthetic, gmm_em, kmeans,
                        kmedoids, normalize_dataset, pairwise_matrix)
 from loadclust import partitional
-from loadclust.partitional import (_e_step, _gmm_single, _kmeans_single,
-                                   _kmedoids_single, _log_densities,
+from loadclust.partitional import (INITS, _e_step, _gmm_single,
+                                   _kmeans_single, _kmedoids_single,
+                                   _log_densities,
                                    _logsumexp_rows, _plusplus_indices,
                                    _plusplus_run, _repair_empty)
 from loadclust.results import result_to_json
@@ -654,12 +655,12 @@ class TestGmmCollapse:
         assert (got is None) == (want is None)
         if want is None:
             return
-        assignments, means, trace, iterations, converged, avg_ll = got
+        assignments, means, trace, iterations, converged = got
         assert [t.hex() for t in trace] == [t.hex() for t in want[2]]
         assert (iterations, converged) == (want[3], want[4])
         assert np.array_equal(assignments, want[0])
         assert means.tobytes() == want[1].tobytes()
-        assert avg_ll.hex() == want[5].hex()
+        assert trace[-1].hex() == want[5].hex()
 
     @pytest.mark.parametrize("max_iterations", [1, 2, 300])
     def test_collapsing_runs_match_oracle(self, kind, max_iterations):
@@ -694,3 +695,96 @@ class TestGmmCollapse:
                                  covariance_regularizer=1e-4)
             for seed in range(2):
                 self.assert_same_run(X, k, seed, options)
+
+
+def first_best(runs, higher_is_better=False):
+    """The restart rule as a plain scan: the first run (None runs skipped)
+    whose final objective no earlier kept run beats or equals."""
+    best = None
+    for run in runs:
+        if run is None:
+            continue
+        if best is None or (run[2][-1] > best[2][-1] if higher_is_better
+                            else run[2][-1] < best[2][-1]):
+            best = run
+    return best
+
+
+def assert_fit_is_run(result, run):
+    labels, prototypes, trace, iterations, converged = run
+    assert list(result.assignments) == labels.tolist()
+    if result.prototype_kind == "vector":
+        assert np.array(result.prototypes).tobytes() == prototypes.tobytes()
+    else:
+        assert list(result.prototypes) == prototypes.tolist()
+    assert result.objective.hex() == trace[-1].hex()
+    assert (result.iterations, result.converged) == (iterations, converged)
+    assert [t.hex() for t in result.trace] == [float(t).hex() for t in trace]
+
+
+class TestRestartRule:
+    """Every fit reports, field for field, the first of its single runs,
+    restart r seeded ``seed + r``, with the best final objective; a
+    discarded mixture run never wins."""
+
+    @pytest.mark.parametrize("init", INITS)
+    def test_kmeans(self, harder_dataset, init):
+        ds = harder_dataset[0]
+        X = ds.to_matrix()
+        for k, seed in ((3, 0), (5, 3)):
+            options = FitOptions(k=k, seed=seed, restarts=6)
+            runs = [_kmeans_single(X, k, seed + r, init, 300, 1e-6)
+                    for r in range(6)]
+            assert_fit_is_run(kmeans(ds, options, init=init), first_best(runs))
+
+    def test_exact_tie_goes_to_the_earliest_restart(self):
+        # three well-separated archetypes: four random-init restarts reach
+        # the same partition, with permuted labels, so the same objective
+        raw, _ = generate_synthetic(
+            SyntheticSpec.default(3, 5, noise_std=0.05), 0)
+        ds = normalize_dataset(raw)
+        X = ds.to_matrix()
+        runs = [_kmeans_single(X, 3, r, "random", 300, 1e-6)
+                for r in range(10)]
+        best = min(run[2][-1] for run in runs)
+        tied = [r for r, run in enumerate(runs) if run[2][-1] == best]
+        assert len(tied) >= 2
+        assert not np.array_equal(runs[tied[0]][0], runs[tied[1]][0])
+        assert runs[tied[0]][3] != runs[tied[1]][3]  # iterations tell them apart
+        assert_fit_is_run(kmeans(ds, FitOptions(k=3, restarts=10)),
+                          runs[tied[0]])
+
+    def test_kmedoids(self, noisy_dataset, noisy_matrix):
+        ds = noisy_dataset[0]
+        S = noisy_matrix.to_square()
+        for k, seed in ((3, 0), (5, 7)):
+            options = FitOptions(k=k, seed=seed, restarts=10)
+            runs = [_kmedoids_single(S, k, seed + r, 300) for r in range(10)]
+            assert_fit_is_run(kmedoids(ds, options, matrix=noisy_matrix),
+                              first_best(runs))
+
+    @pytest.mark.parametrize("kind", ["diagonal", "full"])
+    def test_gmm(self, harder_dataset, kind):
+        ds = harder_dataset[0]
+        X = ds.to_matrix()
+        for k, seed in ((3, 0), (5, 2)):
+            options = FitOptions(k=k, seed=seed, restarts=4,
+                                 covariance_kind=kind,
+                                 covariance_regularizer=1e-4)
+            runs = [_gmm_single(X, k, seed + r, options) for r in range(4)]
+            assert_fit_is_run(gmm_em(ds, options),
+                              first_best(runs, higher_is_better=True))
+
+    @pytest.mark.parametrize("kind", ["diagonal", "full"])
+    def test_gmm_skips_discarded_restarts(self, kind):
+        # a wide regularizer leaves a component of restart 0 without a point
+        raw, _ = generate_synthetic(
+            SyntheticSpec.default(3, 10, noise_std=0.1), 0)
+        ds = normalize_dataset(raw)
+        X = ds.to_matrix()
+        options = FitOptions(k=3, restarts=4, covariance_kind=kind,
+                             covariance_regularizer=1.0)
+        runs = [_gmm_single(X, 3, r, options) for r in range(4)]
+        assert runs[0] is None and all(run is not None for run in runs[1:])
+        assert_fit_is_run(gmm_em(ds, options),
+                          first_best(runs, higher_is_better=True))
