@@ -3,11 +3,13 @@
 Every command is a pure file-in, file-out transformation plus at most one
 line on stdout; identical flags always produce byte-identical artifacts.
 Invalid flag combinations and hyperparameter values exit with status 2 and a
-one-line diagnostic before any file is read, and a k the input cannot hold
-right after it is read, before any distance is computed. ``synth`` resolves
-its flags into a ``SyntheticSpec``, ``cluster`` and ``sweep`` into a
-``MethodSpec``; each spec owns and checks its values as it is built, and
-only flag rules live here. Failures while running exit with status 1.
+one-line diagnostic before any file is read, and a k the input cannot hold,
+or a run too large for the address space limit, right after it is read,
+before any distance is computed. ``synth`` resolves its flags into a
+``SyntheticSpec``, ``cluster`` and ``sweep`` into a ``MethodSpec``; each
+spec owns and checks its values as it is built, and only flag rules live
+here. Failures while running, running out of memory included, exit with
+status 1.
 
 Commands
 --------
@@ -25,6 +27,7 @@ Euclidean WCBCR scoring.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import warnings
 
@@ -34,8 +37,8 @@ from .curves import PER_CURVE, PER_HOUR, RAW, SyntheticSpec, check_k, \
 from .distance import METRIC_KINDS, MetricConfig, check_matrix, load_matrix, \
     pairwise_matrix, save_matrix
 from .evaluation import (MATRIX_METHODS, METHODS, DegenerateElbowWarning,
-                         MethodSpec, elbow, fit, load_sweep, save_sweep, sweep,
-                         wcbcr)
+                         MethodSpec, elbow, fit, load_sweep, peak_bytes,
+                         save_sweep, sweep, wcbcr)
 from .io import read_curves, read_readings, write_curves
 from .partitional import FitError
 from .results import COVARIANCE_KINDS, FitParams, save_result
@@ -167,16 +170,32 @@ def _k_range(args) -> tuple:
     return (args.k,) * 2 if args.command == "cluster" else (args.k_min, args.k_max)
 
 
+def _admit(args, spec: MethodSpec, n: int) -> None:
+    """Refuse a run whose ``peak_bytes`` estimate is above the soft address
+    space limit (``ulimit -v``), if there is one. The estimate counts
+    resident bytes and the limit mapped ones, which are more, so the check
+    errs toward admitting a run; a cgroup memory limit is not seen at all."""
+    need = peak_bytes(n, _k_range(args)[1], spec.method)
+    limit, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if limit != resource.RLIM_INFINITY and limit < need:
+        raise ConfigError(
+            f"{args.input}: {spec.method} on {n} curves needs about "
+            f"{need / 2**20:.0f} MiB, above the address space limit of "
+            f"{limit / 2**20:.0f} MiB")
+
+
 def _inputs(args, spec: MethodSpec) -> tuple:
     """The run's curves, normalized, and its matrix: built, loaded and/or
     saved per the cache flags, None for a vector method. A k range the
-    curves cannot hold is a ConfigError naming the input, raised before
+    curves cannot hold, or a run that does not fit in the address space
+    limit (``_admit``), is a ConfigError naming the input, raised before
     any distance is computed."""
     dataset, _ = read_curves(args.input)
     try:
         check_k(*_k_range(args), len(dataset))
     except ValueError as e:
         raise ConfigError(f"{args.input}: {e}") from e
+    _admit(args, spec, len(dataset))
     if dataset.normalization == RAW:
         dataset = normalize_dataset(dataset, args.normalization)
     elif dataset.normalization != args.normalization:
@@ -268,7 +287,8 @@ _RUNNERS = {
 def main(argv=None) -> int:
     """Run one command; returns the process exit status: 2 for a usage or
     configuration error, caught before any input is read (a k the input
-    cannot hold: right after it), and 1 for a failure while running."""
+    cannot hold or a run too large for the address space limit: right
+    after it), and 1 for a failure while running."""
     args = build_parser().parse_args(argv)
     try:
         spec = _resolve(args)
@@ -276,8 +296,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, FitError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, FitError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
 
 

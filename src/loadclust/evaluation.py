@@ -45,6 +45,24 @@ EVALUATION_METRIC = "euclidean"
 
 SWEEP_HEADER = ["k", "wcbcr"]
 
+#: Peak bytes per n² of the matrix methods: the 4n² condensed matrix, then
+#: ahc's 8n² build square or a cut's 8n² square plus its member rows (under
+#: 8n²), and kmedoids' 8n² square.
+_SQUARE_BYTES = {"ahc": 20, "kmedoids": 12}
+
+
+def peak_bytes(n: int, k_max: int, method: str) -> int:
+    """README's bound on the peak resident memory of a run of ``method``
+    over ``n`` curves at k up to ``k_max``: about 30 MB for the interpreter
+    and numpy, 4 KB per curve for the parsed and normalized curves, plus
+    ``_SQUARE_BYTES`` n² for a matrix method or 256 n k_max bytes for a
+    vector method (the mixture's (k, n, 24) E-step pass and its (n, k)
+    arrays)."""
+    fixed = 30 * 2**20 + 4096 * n
+    if method in _SQUARE_BYTES:
+        return fixed + _SQUARE_BYTES[method] * n * n
+    return fixed + 256 * n * k_max
+
 
 class DegenerateClusteringError(ValueError):
     """All prototypes coincide, so the between-cluster distance is zero."""

@@ -9,8 +9,9 @@ every sidecar and result JSON through ``read_json``. Two CSV shapes here:
   and any provenance the writer wants to attach.
 
 Floats are written with ``repr`` (shortest exact round-trip), lines end
-with LF and JSON keys are sorted, so identical data always produces
-identical bytes. Every reader reports a defective file as one single-line
+with LF, JSON keys are sorted and every text file is read and written as
+UTF-8 whatever the locale, so identical data always produces identical
+bytes. Every reader reports a defective file as one single-line
 ValueError: ``read_csv`` prefixes ``path:line:``, every other reader checks
 inside ``naming``, and ``FILE_ERRORS`` lists the errors that mean a defect.
 """
@@ -48,12 +49,12 @@ def naming(where):
 def write_csv(path, header, rows, sidecar=None) -> None:
     """Write ``header`` and ``rows`` as LF-ended CSV (a float by ``repr``,
     None as an empty cell), and ``sidecar``, if given, as its JSON sidecar."""
-    with open(path, "w", newline="") as f:
+    with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
     if sidecar is not None:
-        with open(sidecar_path(path), "w") as f:
+        with open(sidecar_path(path), "w", encoding="utf-8") as f:
             f.write(json_text(sidecar))
 
 
@@ -63,7 +64,7 @@ def read_csv(path, header, parse) -> list:
     prefixed ``path:line:``; a byte that does not decode is named by its
     own line and its offset in the file (``_bad_byte``)."""
     out = []
-    with open(path, newline="") as f:
+    with open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         try:
             first = next(reader, None)
@@ -117,7 +118,7 @@ def read_json(path, keys) -> dict:
     """The JSON object in the file at ``path``. A file that is not JSON, or
     not an object holding every one of ``keys``, raises one ValueError
     naming it."""
-    with open(path) as f, naming(path):
+    with open(path, encoding="utf-8") as f, naming(path):
         doc = json.load(f)
         if not isinstance(doc, dict) or not set(keys) <= doc.keys():
             raise ValueError(f"expected a JSON object with keys {list(keys)}")

@@ -16,12 +16,13 @@ pinned by name.
 K-means and the mixture operate on the raw 24-dimensional vectors with
 Euclidean geometry; K-medoids works purely from a precomputed pairwise
 matrix, with the hierarchy cut's medoid rule (``distance.cluster_medoids``),
-and is the partitional method that can cluster under DTW.
+and is the partitional method that can cluster under DTW. The k-means++
+runs that mixture restarts start from live with their dataset
+(``_plusplus_run``); no fit writes module-level state.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
@@ -180,34 +181,25 @@ def _kmeans_single(X: np.ndarray, k: int, seed: int, init: str,
     return labels, centroids, trace, iterations, converged
 
 
-#: Seeded k-means++ runs of the most recent dataset, keyed by (sha256 of the
-#: matrix bytes, shape, k, seed, max_iterations, tolerance).
-_plusplus_runs: dict = {}
-
-
-def _plusplus_run(X: np.ndarray, k: int, seed: int, max_iterations: int,
-                  tolerance: float):
+def _plusplus_run(runs: dict, X: np.ndarray, k: int, seed: int,
+                  max_iterations: int, tolerance: float):
     """``_kmeans_single(X, k, seed, "plusplus", ...)``, run once per dataset.
 
     Restart r of ``kmeans(init="plusplus")`` and the initialization of
-    mixture restart r are the same Lloyd run, so both take it from here.
-    The key hashes the exact matrix bytes (``-0.0`` and ``0.0`` differ);
-    a new dataset empties the memo first. The stored arrays are read-only
+    mixture restart r are the same Lloyd run, so both take it from
+    ``runs``, which the dataset of ``X`` keeps in its instance dict, as
+    ``Dataset.to_matrix`` keeps its stack. The stored arrays are read-only
     and the trace a tuple, since every caller shares them.
     """
-    key = (hashlib.sha256(X.tobytes()).digest(), X.shape, k, seed,
-           max_iterations, tolerance)
-    run = _plusplus_runs.get(key)
+    key = (k, seed, max_iterations, tolerance)
+    run = runs.get(key)
     if run is None:
-        # every stored key shares one dataset, so the first one speaks for all
-        if next(iter(_plusplus_runs), key)[:2] != key[:2]:
-            _plusplus_runs.clear()
         labels, centroids, trace, iterations, converged = _kmeans_single(
             X, k, seed, "plusplus", max_iterations, tolerance)
         labels.setflags(write=False)
         centroids.setflags(write=False)
-        run = (labels, centroids, tuple(trace), iterations, converged)
-        _plusplus_runs[key] = run
+        run = runs[key] = (labels, centroids, tuple(trace), iterations,
+                           converged)
     return run
 
 
@@ -224,11 +216,12 @@ def kmeans(dataset, options: FitOptions, init: str = "random") -> ClusteringResu
     if init not in INITS:
         raise ValueError(f"init must be one of {INITS}, got {init!r}")
     X = _checked_matrix(dataset, options.k)
+    runs = vars(dataset).setdefault("_plusplus_runs", {})
 
     def single(seed):
         if init == "plusplus":
-            return _plusplus_run(X, options.k, seed, options.max_iterations,
-                                 options.tolerance)
+            return _plusplus_run(runs, X, options.k, seed,
+                                 options.max_iterations, options.tolerance)
         return _kmeans_single(X, options.k, seed, init, options.max_iterations,
                               options.tolerance)
 
@@ -365,10 +358,10 @@ def _e_step(X, weights, means, covs, kind):
     return logp, lse, avg_ll
 
 
-def _gmm_init(X, k, seed, options):
+def _gmm_init(X, k, seed, options, runs):
     """Moment-match initial parameters from one seeded K-means++ run."""
     labels, centroids, _, _, _ = _plusplus_run(
-        X, k, seed, options.max_iterations, options.tolerance)
+        runs, X, k, seed, options.max_iterations, options.tolerance)
     n, d = X.shape
     reg = options.covariance_regularizer
     weights = np.bincount(labels, minlength=k).astype(float) / n
@@ -385,14 +378,16 @@ def _gmm_init(X, k, seed, options):
     return weights, means, covs
 
 
-def _gmm_single(X, k, seed, options):
-    """One EM run. Returns None when the log-likelihood turns non-finite or
+def _gmm_single(X, k, seed, options, runs=None):
+    """One EM run, initialized from the k-means++ run in ``runs`` (default:
+    a fresh store). Returns None when the log-likelihood turns non-finite or
     a component collapses: its weight falls below ``_COLLAPSE_WEIGHT`` or it
     owns no argmax point. Otherwise the means are those of the last E-step."""
     n, d = X.shape
     kind = options.covariance_kind
     reg = options.covariance_regularizer
-    weights, means, covs = _gmm_init(X, k, seed, options)
+    weights, means, covs = _gmm_init(X, k, seed, options,
+                                     {} if runs is None else runs)
 
     trace = []
     prev_ll = -math.inf
@@ -444,21 +439,24 @@ def gmm_em(dataset, options: FitOptions) -> ClusteringResult:
     every M-step adds ``covariance_regularizer`` to the variances (or the
     covariance diagonal), so the likelihood ascent holds only up to that
     perturbation. A restart is discarded when its log-likelihood turns
-    non-finite or a component collapses (its weight falls below 1e-8 or it
-    is left without a point, owning no argmax point); if every restart
-    fails, FitError is raised.
+    non-finite, a covariance is not positive definite, or a component
+    collapses (its weight falls below 1e-8 or it is left without a point,
+    owning no argmax point); if every restart fails, FitError is raised.
 
     Assignments are the argmax responsibilities; prototypes are the
     component means; the objective is the final average log-likelihood
     (higher is better, unlike the other methods).
     """
     X = _checked_matrix(dataset, options.k)
+    runs = vars(dataset).setdefault("_plusplus_runs", {})
     result = _best_run(
-        "gmm", options, lambda seed: _gmm_single(X, options.k, seed, options),
+        "gmm", options,
+        lambda seed: _gmm_single(X, options.k, seed, options, runs),
         VECTOR, MetricConfig("euclidean"), "plusplus", higher_is_better=True)
     if result is None:
         raise FitError(
             f"gaussian mixture failed on all {options.restarts} restarts "
-            "(non-finite log-likelihood or a component left without a point)"
+            "(non-finite log-likelihood, a covariance that is not positive "
+            "definite or a component left without a point)"
         )
     return result

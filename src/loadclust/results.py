@@ -198,7 +198,7 @@ def result_to_json(result: ClusteringResult,
 
 def save_result(result: ClusteringResult, path,
                 extra_method_fields: dict | None = None) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(result_to_json(result, extra_method_fields))
 
 

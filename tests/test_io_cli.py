@@ -1,8 +1,13 @@
 import json
 import math
+import os
 import re
+import resource
 import shutil
+import subprocess
+import sys
 from datetime import date as Date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,9 @@ import pytest
 from loadclust import (Dataset, MethodSpec, MetricConfig, RawReading,
                        SyntheticSpec, generate_synthetic, load_result,
                        load_sweep, normalize_dataset)
+from loadclust import cli
 from loadclust.cli import main
+from loadclust.evaluation import peak_bytes
 from loadclust.io import (read_curves, read_readings, write_curves,
                           write_readings)
 
@@ -511,6 +518,75 @@ class TestCliRejections:
             ["curves.csv", "curves.csv.json"]
 
 
+#: The soft and hard address space limit of ``ulimit -v 1400000``.
+AS_LIMIT = (1400000 * 1024,) * 2
+
+
+class TestCliMemoryAdmission:
+    """A run whose ``peak_bytes`` estimate is above the soft RLIMIT_AS is
+    refused right after the input is read. The tests stand in for the limit
+    and the curve count; they never allocate or lower a real limit."""
+
+    @pytest.fixture()
+    def as_if_12000_curves(self, monkeypatch):
+        """Estimate every run as if the input held 12,000 curves."""
+        monkeypatch.setattr(cli, "peak_bytes",
+                            lambda n, k_max, method: peak_bytes(12000, k_max,
+                                                                method))
+
+    @pytest.mark.parametrize("method, need", [("ahc", 2823),
+                                              ("kmedoids", 1725)])
+    def test_matrix_run_above_the_limit_exits_2_writing_nothing(
+            self, tmp_path, synth_file, as_if_12000_curves, monkeypatch,
+            method, need, capsys):
+        monkeypatch.setattr(cli.resource, "getrlimit", lambda _: AS_LIMIT)
+        rc = run_cli("sweep", "--input", synth_file, "--output",
+                     tmp_path / "out", "--k-min", 2, "--k-max", 4,
+                     "--method", method, "--save-matrix", tmp_path / "m.dmx")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {synth_file}: {method} on 30 curves needs about "
+            f"{need} MiB, above the address space limit of 1367 MiB\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["curves.csv", "curves.csv.json"]
+
+    @pytest.mark.parametrize("method", ["kmeans", "kmeanspp", "gmm"])
+    def test_vector_run_at_the_same_n_is_admitted(
+            self, tmp_path, synth_file, as_if_12000_curves, monkeypatch,
+            method, capsys):
+        monkeypatch.setattr(cli.resource, "getrlimit", lambda _: AS_LIMIT)
+        rc = run_cli("cluster", "--input", synth_file, "--output",
+                     tmp_path / "r.json", "--k", 3, "--method", method,
+                     "--restarts", 2)
+        assert rc == 0, capsys.readouterr().err
+        assert (tmp_path / "r.json").exists()
+
+    def test_unlimited_address_space_admits_any_estimate(
+            self, tmp_path, synth_file, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "peak_bytes", lambda *a: 2**62)
+        monkeypatch.setattr(cli.resource, "getrlimit",
+                            lambda _: (resource.RLIM_INFINITY,) * 2)
+        rc = run_cli("cluster", "--input", synth_file, "--output",
+                     tmp_path / "r.json", "--k", 3)
+        assert rc == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 1.07 GiB"),
+         "error: Unable to allocate 1.07 GiB\n"),
+        (MemoryError(), "error: MemoryError\n"),
+    ])
+    def test_memory_error_while_running_exits_1_with_one_line(
+            self, tmp_path, synth_file, monkeypatch, error, line, capsys):
+        def out_of_memory(*a, **kw):
+            raise error
+
+        monkeypatch.setattr(cli, "pairwise_matrix", out_of_memory)
+        rc = run_cli("cluster", "--input", synth_file, "--output",
+                     tmp_path / "r.json", "--k", 3)
+        assert rc == 1
+        assert capsys.readouterr().err == line
+
+
 class TestCliSweepAndElbow:
     def test_sweep_then_elbow(self, tmp_path, synth_file, capsys):
         sp = tmp_path / "sweep.csv"
@@ -544,6 +620,22 @@ class TestCliSweepAndElbow:
         assert report.ks() == (2, 3, 4)
         assert report.spec.name() == "ahc-dtw-average"
         capsys.readouterr()
+
+    def test_sweep_with_no_scored_k_warns_once_per_k(self, tmp_path,
+                                                     capsys):
+        """Eight copies of one curve: every cut is degenerate, so no k
+        scores and each k is one warning line; the sweep still exits 0."""
+        curves = tmp_path / "same.csv"
+        write_curves(Dataset(tuple(make_curve(range(24), hid=f"h{i}")
+                                   for i in range(8))), curves)
+        rc = run_cli("sweep", "--input", curves, "--output",
+                     tmp_path / "s.csv", "--k-min", 2, "--k-max", 4)
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.out == "rows=0\n"
+        lines = captured.err.splitlines()
+        assert [line[:len("warning: k=2:")] for line in lines] == \
+            [f"warning: k={k}:" for k in (2, 3, 4)]
 
     def test_flat_sweep_elbow_warns_on_stderr(self, tmp_path, capsys):
         p = tmp_path / "flat.csv"
@@ -814,3 +906,33 @@ def test_pipeline_writes_no_carriage_returns(tmp_path, capsys):
     assert written == ["curves.csv", "curves.csv.json", "result.json",
                        "sweep.csv", "sweep.csv.json"]
     assert [n for n in written if b"\r" in (tmp_path / n).read_bytes()] == []
+
+
+READINGS_UTF8 = "household_id,date,hour,kwh\n" + "".join(
+    f"m\u00e9t\u00e9,2024-01-0{day},{h},{1.0 + 0.1 * h * day!r}\n"
+    for day in (1, 2, 3) for h in range(24))
+
+
+def test_text_artifacts_are_utf8_whatever_the_locale(tmp_path):
+    """``ingest`` and ``cluster`` of a household id outside ASCII write the
+    same bytes under the C locale, with Python's UTF-8 mode off, as in
+    UTF-8 mode."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = {}
+    for name, env in (("c", {"LC_ALL": "C", "PYTHONUTF8": "0"}),
+                      ("utf8", {"PYTHONUTF8": "1"})):
+        run = tmp_path / name
+        run.mkdir()
+        (run / "r.csv").write_bytes(READINGS_UTF8.encode("utf-8"))
+        for argv in (["ingest", "--input", "r.csv", "--output", "c.csv"],
+                     ["cluster", "--input", "c.csv", "--output", "res.json",
+                      "--k", "2", "--method", "kmeans"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "loadclust.cli", *argv], cwd=run,
+                env=dict(os.environ, PYTHONPATH=str(src), **env),
+                capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        outputs[name] = {f: (run / f).read_bytes()
+                         for f in ("c.csv", "c.csv.json", "res.json")}
+    assert "m\u00e9t\u00e9".encode("utf-8") in outputs["c"]["c.csv"]
+    assert outputs["c"] == outputs["utf8"]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,15 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loadclust import (Dataset, FitError, FitOptions, MetricConfig,
-                       SyntheticSpec, generate_synthetic, gmm_em, kmeans,
-                       kmedoids, normalize_dataset, pairwise_matrix)
+from loadclust import (Dataset, FitError, FitOptions, MethodSpec,
+                       MetricConfig, SyntheticSpec, generate_synthetic, gmm_em,
+                       kmeans, kmedoids, normalize_dataset, pairwise_matrix,
+                       sweep)
 from loadclust import partitional
 from loadclust.partitional import (INITS, _e_step, _gmm_single,
                                    _kmeans_single, _kmedoids_single,
-                                   _log_densities,
-                                   _logsumexp_rows, _plusplus_indices,
-                                   _plusplus_run, _repair_empty)
+                                   _log_densities, _logsumexp_rows,
+                                   _plusplus_indices, _repair_empty)
 from loadclust.results import result_to_json
 
 from conftest import (best_match_accuracy, embed_1d, gmm_single_oracle,
@@ -232,23 +233,28 @@ class TestLloydAgainstOracle:
         self.check(X, seeds=range(3))
 
 
+def fresh(dataset) -> Dataset:
+    """An equal dataset that has stored no k-means++ run yet."""
+    return Dataset(dataset.curves, dataset.normalization)
+
+
+def stored(dataset) -> dict:
+    """The k-means++ runs a dataset keeps, by (k, seed, iterations, tol)."""
+    return vars(dataset).get("_plusplus_runs", {})
+
+
 class TestPlusPlusMemo:
     """``kmeans(init="plusplus")`` and the mixture share their k-means++
-    runs through one memo of the most recent dataset."""
-
-    @pytest.fixture(autouse=True)
-    def empty_memo(self):
-        partitional._plusplus_runs.clear()
+    runs through the store each dataset keeps of its own."""
 
     def test_gmm_after_kmeanspp_is_byte_identical(self, harder_dataset):
-        ds, _ = harder_dataset
+        ds = fresh(harder_dataset[0])
         options = FitOptions(k=4, seed=2, restarts=3)
-        cold = result_to_json(gmm_em(ds, options))
-        partitional._plusplus_runs.clear()
+        cold = result_to_json(gmm_em(fresh(ds), options))
         kmeans(ds, options, init="plusplus")
-        assert len(partitional._plusplus_runs) == 3
+        assert len(stored(ds)) == 3
         warm = result_to_json(gmm_em(ds, options))
-        assert len(partitional._plusplus_runs) == 3  # every run was shared
+        assert len(stored(ds)) == 3  # every run was shared
         assert warm == cold
 
     def test_signed_zero_datasets_never_share(self):
@@ -257,50 +263,60 @@ class TestPlusPlusMemo:
         Y = X.copy()
         Y[0, 1] = -0.0
         assert np.array_equal(X, Y) and X.tobytes() != Y.tobytes()
-        x_run = _plusplus_run(X, 3, 0, 300, 1e-6)
-        x_key, = partitional._plusplus_runs
-        y_run = _plusplus_run(Y, 3, 0, 300, 1e-6)
-        y_key, = partitional._plusplus_runs
-        assert y_run is not x_run and y_key[0] != x_key[0]
-        assert _plusplus_run(X, 3, 0, 300, 1e-6) is not x_run
+        x_ds, y_ds = (Dataset(tuple(make_curve(v, hid=f"p{i}", normalized=True)
+                                    for i, v in enumerate(M)), "per-curve")
+                      for M in (X, Y))
+        z_ds = fresh(x_ds)  # equal to x_ds, bit for bit
+        for ds in (x_ds, y_ds, z_ds):
+            kmeans(ds, FitOptions(k=3, seed=0, restarts=1), init="plusplus")
+        (x_run,), (y_run,), (z_run,) = (stored(ds).values()
+                                        for ds in (x_ds, y_ds, z_ds))
+        assert y_run is not x_run and z_run is not x_run
 
     def test_cached_arrays_are_read_only(self, harder_dataset):
-        X = harder_dataset[0].to_matrix()
-        labels, centroids, trace, _, _ = _plusplus_run(X, 3, 0, 300, 1e-6)
-        assert _plusplus_run(X, 3, 0, 300, 1e-6)[0] is labels
+        ds = fresh(harder_dataset[0])
+        options = FitOptions(k=3, seed=0, restarts=1)
+        kmeans(ds, options, init="plusplus")
+        ((labels, centroids, trace, _, _),) = stored(ds).values()
+        kmeans(ds, options, init="plusplus")
+        (run,) = stored(ds).values()
+        assert run[0] is labels
         with pytest.raises(ValueError, match="read-only"):
             labels[0] = 1
         with pytest.raises(ValueError, match="read-only"):
             centroids[0, 0] = 1.0
         assert isinstance(trace, tuple)
 
-    def test_new_dataset_drops_old_runs(self, harder_dataset, noisy_dataset):
-        X = harder_dataset[0].to_matrix()
-        Y = noisy_dataset[0].to_matrix()
-        for seed in range(3):
-            _plusplus_run(X, 3, seed, 300, 1e-6)
-        assert len(partitional._plusplus_runs) == 3
-        _plusplus_run(Y, 3, 0, 300, 1e-6)
-        assert len(partitional._plusplus_runs) == 1
-        key, = partitional._plusplus_runs
-        assert key[1] == Y.shape and key[2:4] == (3, 0)
+    def test_runs_are_kept_and_freed_with_their_dataset(self, harder_dataset,
+                                                         noisy_dataset):
+        x_ds, y_ds = fresh(harder_dataset[0]), fresh(noisy_dataset[0])
+        kmeans(x_ds, FitOptions(k=3, seed=0, restarts=3), init="plusplus")
+        gmm_em(y_ds, FitOptions(k=3, seed=0, restarts=1))
+        assert sorted(stored(x_ds)) == [(3, seed, 300, 1e-6)
+                                        for seed in range(3)]
+        (key,) = stored(y_ds)
+        assert key == (3, 0, 300, 1e-6)
+        labels = weakref.ref(stored(y_ds)[key][0])
+        del y_ds
+        assert labels() is None
+        assert len(stored(x_ds)) == 3  # another dataset's runs stay
 
     def test_random_init_runs_are_not_stored(self, harder_dataset):
-        kmeans(harder_dataset[0], FitOptions(k=3, restarts=2), init="random")
-        assert partitional._plusplus_runs == {}
+        ds = fresh(harder_dataset[0])
+        kmeans(ds, FitOptions(k=3, restarts=2), init="random")
+        assert stored(ds) == {}
 
 
 SWEEP_SCRIPT = """
 import sys
 from loadclust import SyntheticSpec, generate_synthetic, normalize_dataset
-from loadclust import partitional
 from loadclust.evaluation import MethodSpec, save_sweep, sweep
 
 raw, _ = generate_synthetic(
     SyntheticSpec.default(4, 15, noise_std=0.3, shift_range=2), seed=3)
 dataset = normalize_dataset(raw)
 for method in sys.argv[2:]:
-    print(method, len(partitional._plusplus_runs))
+    print(method, len(vars(dataset).get("_plusplus_runs", {})))
     save_sweep(sweep(dataset, MethodSpec(method, restarts=3), 2, 6),
                f"{sys.argv[1]}/{method}.csv")
 """
@@ -695,6 +711,31 @@ class TestGmmCollapse:
                                  covariance_regularizer=1e-4)
             for seed in range(2):
                 self.assert_same_run(X, k, seed, options)
+
+
+def test_singular_covariance_on_every_restart_raises(monkeypatch):
+    """Ten curves per component in 24 dimensions and a regularizer of
+    1e-30: every full covariance is singular, so the first E-step of each
+    restart fails, the restart is discarded, and ``sweep`` reports each k."""
+    steps = []
+
+    def recording(*args):
+        steps.append(_e_step(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(partitional, "_e_step", recording)
+    raw, _ = generate_synthetic(SyntheticSpec.default(3, 10, 0.1, 2), 0)
+    ds = normalize_dataset(raw)
+    params = dict(restarts=3, covariance_kind="full",
+                  covariance_regularizer=1e-30)
+    with pytest.raises(FitError, match="a covariance that is not positive "
+                       "definite or a component left without a point"):
+        gmm_em(ds, FitOptions(k=3, **params))
+    assert steps == [None] * 3
+    report = sweep(ds, MethodSpec("gmm", **params), 2, 4)
+    assert report.rows == ()
+    assert [line.split(":")[0] for line in report.diagnostics] == \
+        ["k=2", "k=3", "k=4"]
 
 
 def first_best(runs, higher_is_better=False):
