@@ -6,6 +6,13 @@ curves are z-normalized (zero mean, unit variance) before any distance is
 computed; magnitude differences between households would otherwise dominate
 every shape comparison.
 
+A ``Dataset`` holds its curves as columns: one read-only (n, 24) float64
+array, which every algorithm reads through ``to_matrix``, and the household
+ids, dates and degenerate flags beside it. The reader, the normalization
+and the generators build a dataset straight from those columns
+(``Dataset.from_columns``), checking all values with one vectorized test; a
+``LoadCurve`` is built only when a caller indexes or iterates the dataset.
+
 All functions here are pure: inputs are never mutated and every result is a
 deterministic function of its arguments (plus the seed, for the synthetic
 generator).
@@ -14,7 +21,7 @@ generator).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from datetime import date as Date
 from datetime import timedelta
 
@@ -55,6 +62,27 @@ def check_k(k_min, k_max, n=None, least: int = 2) -> None:
         raise ValueError(f"k must satisfy {least} <= {rule}{top}, got {got}")
 
 
+def curve_values(values, household_id, date, normalized: bool = False,
+                 degenerate: bool = False) -> tuple:
+    """``values`` as one curve's 24 floats (``float`` of each), or the one
+    ValueError that says why they are not: a count other than 24, a value
+    that is not finite, or a ``degenerate`` flag on a raw curve or on one
+    that is not all zeros."""
+    vals = tuple(map(float, values))
+    if len(vals) != HOURS_PER_DAY:
+        raise ValueError(
+            f"load curve needs exactly {HOURS_PER_DAY} values, got {len(vals)}"
+        )
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"non-finite value in curve {household_id}/{date}")
+    if degenerate:
+        if not normalized:
+            raise ValueError("degenerate flag only applies to normalized curves")
+        if any(v != 0.0 for v in vals):
+            raise ValueError("degenerate curve must be all zeros")
+    return vals
+
+
 @dataclass(frozen=True)
 class LoadCurve:
     """One day of hourly consumption for one household.
@@ -72,70 +100,143 @@ class LoadCurve:
     degenerate: bool = False
 
     def __post_init__(self):
-        vals = tuple(map(float, self.values))
-        if len(vals) != HOURS_PER_DAY:
-            raise ValueError(
-                f"load curve needs exactly {HOURS_PER_DAY} values, got {len(vals)}"
-            )
-        if not all(map(math.isfinite, vals)):
-            raise ValueError(f"non-finite value in {self.name()}")
-        if self.degenerate:
-            if not self.normalized:
-                raise ValueError("degenerate flag only applies to normalized curves")
-            if any(v != 0.0 for v in vals):
-                raise ValueError("degenerate curve must be all zeros")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", curve_values(
+            self.values, self.household_id, self.date, self.normalized,
+            self.degenerate))
 
     def name(self) -> str:
         return f"curve {self.household_id}/{self.date}"
 
 
-@dataclass(frozen=True)
 class Dataset:
     """Ordered collection of load curves sharing one normalization regime.
 
     Curve order is load-bearing: index ``i`` refers to the same curve in
     every artifact derived from the dataset (distance matrices, cluster
     assignments, prototype indices).
+
+    The curves are held as columns: the read-only (n, 24) float64 array
+    that ``to_matrix`` returns, which every algorithm reads, and beside it
+    the ``household_ids``, the ``dates`` and the read-only ``degenerate``
+    flags. ``Dataset(curves, normalization)`` takes LoadCurves and keeps
+    them as well; ``Dataset.from_columns`` takes the columns, and then a
+    LoadCurve is built only for the index or the iteration step that asks
+    for it (``.curves`` builds them all, once). Either way the dataset is
+    immutable, and two datasets are equal when their normalization and
+    columns are.
     """
 
-    curves: tuple
-    normalization: str = RAW
-
-    def __post_init__(self):
-        curves = tuple(self.curves)
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-        expect = self.normalization != RAW
+    def __init__(self, curves, normalization: str = RAW):
+        curves = tuple(curves)
+        if normalization not in NORMALIZATIONS:
+            raise ValueError(f"unknown normalization {normalization!r}")
+        expect = normalization != RAW
         for i, c in enumerate(curves):
             if c.normalized != expect:
                 raise ValueError(
                     f"curve {i} normalization state does not match dataset tag "
-                    f"{self.normalization!r}"
+                    f"{normalization!r}"
                 )
-        object.__setattr__(self, "curves", curves)
+        self._set(np.array([c.values for c in curves], dtype=float),
+                  tuple(c.household_id for c in curves),
+                  tuple(c.date for c in curves),
+                  [c.degenerate for c in curves], normalization)
+        vars(self)["_curves"] = curves
+
+    @classmethod
+    def from_columns(cls, values, household_ids, dates,
+                     normalization: str = RAW, degenerate=None) -> "Dataset":
+        """A dataset of the curves whose 24 values are the rows of
+        ``values`` (copied), under ``household_ids`` and ``dates``;
+        ``degenerate`` defaults to no curve. The rows are held to
+        ``curve_values``'s rules with one vectorized test, and the first
+        row that breaks one raises its ValueError."""
+        if normalization not in NORMALIZATIONS:
+            raise ValueError(f"unknown normalization {normalization!r}")
+        household_ids, dates = tuple(household_ids), tuple(dates)
+        n = len(household_ids)
+        values = np.array(values, dtype=float)
+        if values.shape != (n, HOURS_PER_DAY) and (n or values.size):
+            raise ValueError(f"{n} curves need ({n}, {HOURS_PER_DAY}) values, "
+                             f"got shape {values.shape}")
+        if len(dates) != n:
+            raise ValueError(f"{n} household ids, but {len(dates)} dates")
+        ds = cls.__new__(cls)
+        ds._set(values, household_ids, dates, degenerate, normalization)
+        values, degenerate = ds.to_matrix(), ds.degenerate
+        bad = ~np.isfinite(values).all(axis=1)
+        if degenerate.any():
+            bad |= degenerate & ((values != 0.0).any(axis=1)
+                                 | (normalization == RAW))
+        if bad.any():
+            i = int(np.argmax(bad))
+            curve_values(values[i], household_ids[i], dates[i],
+                         normalization != RAW, bool(degenerate[i]))
+        return ds
+
+    def _set(self, values, household_ids, dates, degenerate, normalization):
+        values = values.reshape(len(household_ids), HOURS_PER_DAY)
+        degenerate = (np.zeros(len(values), dtype=bool) if degenerate is None
+                      else np.array(degenerate, dtype=bool).reshape(len(values)))
+        values.setflags(write=False)
+        degenerate.setflags(write=False)
+        vars(self).update(_matrix=values, household_ids=household_ids,
+                          dates=dates, degenerate=degenerate,
+                          normalization=normalization)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def curves(self) -> tuple:
+        """The LoadCurves in order."""
+        curves = vars(self).get("_curves")
+        if curves is None:
+            curves = vars(self)["_curves"] = tuple(self)
+        return curves
+
+    def _curve(self, i) -> LoadCurve:
+        return LoadCurve(self._matrix[i].tolist(), self.household_ids[i],
+                         self.dates[i], normalized=self.normalization != RAW,
+                         degenerate=bool(self.degenerate[i]))
 
     def __len__(self):
-        return len(self.curves)
+        return len(self.household_ids)
 
     def __iter__(self):
-        return iter(self.curves)
+        curves = vars(self).get("_curves")
+        if curves is not None:
+            return iter(curves)
+        return map(self._curve, range(len(self)))
 
     def __getitem__(self, i):
-        return self.curves[i]
+        if "_curves" in vars(self) or isinstance(i, slice):
+            return self.curves[i]
+        return self._curve(i)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.normalization == other.normalization
+                and self.household_ids == other.household_ids
+                and self.dates == other.dates
+                and np.array_equal(self.degenerate, other.degenerate)
+                and np.array_equal(self._matrix, other._matrix))
+
+    def __hash__(self):
+        return hash((self.normalization, self.household_ids, self.dates))
+
+    def __repr__(self):
+        return (f"Dataset(curves={self.curves!r}, "
+                f"normalization={self.normalization!r})")
 
     def to_matrix(self) -> np.ndarray:
-        """The curve values as an (n, 24) float array.
-
-        Built on the first call and kept; it is read-only, because every
-        later call returns the same array.
-        """
-        m = self.__dict__.get("_matrix")
-        if m is None:
-            m = np.asarray([c.values for c in self.curves], dtype=float)
-            m.setflags(write=False)
-            object.__setattr__(self, "_matrix", m)
-        return m
+        """The curve values as an (n, 24) float array; read-only, and the
+        same array on every call."""
+        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -203,12 +304,8 @@ def normalize_dataset(dataset: Dataset, mode: str = PER_CURVE) -> Dataset:
     flat = std < _FLAT_STD
     z = (m - mean) / np.where(flat, 1.0, std)
     z[np.broadcast_to(flat, z.shape)] = 0.0
-    curves = tuple(
-        LoadCurve(row, c.household_id, c.date, normalized=True,
-                  degenerate=per_curve and bool(flat[i, 0]))
-        for i, (row, c) in enumerate(zip(z.tolist(), dataset))
-    )
-    return Dataset(curves, mode)
+    return Dataset.from_columns(z, dataset.household_ids, dataset.dates, mode,
+                                degenerate=flat[:, 0] if per_curve else None)
 
 
 def reshape_readings(readings) -> tuple[Dataset, int]:
@@ -226,15 +323,16 @@ def reshape_readings(readings) -> tuple[Dataset, int]:
     for r in readings:
         groups.setdefault((r.household_id, r.date), {})[r.hour] = r.kwh
 
-    curves = []
+    ids, dates, rows = [], [], []
     dropped = 0
     for (hid, day), hours in sorted(groups.items()):
         if len(hours) == HOURS_PER_DAY:
-            vals = tuple(hours[h] for h in range(HOURS_PER_DAY))
-            curves.append(LoadCurve(vals, hid, day))
+            ids.append(hid)
+            dates.append(day)
+            rows.append([hours[h] for h in range(HOURS_PER_DAY)])
         else:
             dropped += 1
-    return Dataset(tuple(curves), RAW), dropped
+    return Dataset.from_columns(rows, ids, dates), dropped
 
 
 # --- synthetic data ---------------------------------------------------------
@@ -331,8 +429,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[Dataset, np.ndar
     """
     rng = np.random.default_rng(seed)
     base_date = Date(2024, 1, 1)
-    curves = []
-    labels = []
+    rows, ids, dates, labels = [], [], [], []
     for a, template in enumerate(spec.archetypes):
         t = np.asarray(template, dtype=float)
         for c in range(spec.curves_per_archetype):
@@ -342,10 +439,9 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[Dataset, np.ndar
                 vals = np.roll(vals, offset)
             if spec.noise_std > 0:
                 vals = vals + rng.normal(0.0, spec.noise_std, HOURS_PER_DAY)
-            curves.append(LoadCurve(
-                tuple(float(v) for v in vals),
-                household_id=f"arch{a:02d}",
-                date=base_date + timedelta(days=c),
-            ))
+            rows.append(vals)
+            ids.append(f"arch{a:02d}")
+            dates.append(base_date + timedelta(days=c))
             labels.append(a)
-    return Dataset(tuple(curves), RAW), np.asarray(labels, dtype=int)
+    return (Dataset.from_columns(rows, ids, dates),
+            np.asarray(labels, dtype=int))

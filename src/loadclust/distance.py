@@ -322,7 +322,7 @@ class DistanceMatrix:
                 f"condensed vector for n={self.n} must have length {expect}, "
                 f"got shape {vec.shape}"
             )
-        if np.any(np.isnan(vec)) or np.any(vec < 0):
+        if not (vec >= 0).all():  # NaN compares false, -0.0 and inf pass
             raise ValueError("distances must be non-negative and not NaN")
         vec.setflags(write=False)
         object.__setattr__(self, "condensed", vec)
@@ -423,8 +423,8 @@ def _pair_blocks(n: int):
 def pairwise_matrix(dataset, metric: MetricConfig | None = None) -> DistanceMatrix:
     """All pairwise distances for a ``Dataset`` under one metric config.
 
-    The curves come from the dataset's cached stack, ``to_matrix()``, whose
-    rows ``LoadCurve`` has already checked to be 24 finite values. The
+    The curves come from the dataset's array, ``to_matrix()``, whose rows
+    ``Dataset`` has already checked to be 24 finite values. The
     condensed vector is filled in fixed-size batches of consecutive pairs,
     each computed by the batched kernels, so every entry equals
     ``metric.distance`` on its pair bit for bit and the result is

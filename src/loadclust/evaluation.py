@@ -33,7 +33,7 @@ from .curves import check_k, check_types
 from .distance import (MetricConfig, UnnormalizedDataWarning, check_matrix,
                        paired_distances, pairwise_matrix, total_distance)
 from .io import naming, read_csv, read_sidecar, sidecar_path, write_csv
-from .partitional import FitError, gmm_em, kmeans, kmedoids
+from .partitional import FitError, _kmedoids_fit, gmm_em, kmeans, kmedoids
 from .results import MEDOID_INDEX, ClusteringResult, FitOptions, FitParams
 
 METHODS = ("ahc", "kmeans", "kmeanspp", "kmedoids", "gmm")
@@ -263,12 +263,15 @@ def sweep(dataset, spec: MethodSpec, k_min: int, k_max: int,
     exactly once and shared across all cuts/fits; a precomputed ``matrix``
     skips even that, and is refused where ``fit`` would refuse it. Every k
     of an ahc sweep is cut in one ``cut_range`` pass, after the build has
-    freed its working square. A fit that fails at some k becomes a
+    freed its working square. A k-medoids sweep squares the matrix once and
+    fits every k from that square and one medoid memo (member set ->
+    medoid, valid at any k), both freed when the sweep returns; each row is
+    the bits ``fit`` gives at its k. A fit that fails at some k becomes a
     diagnostic line, not an abort; deterministic throughout.
     """
     check_k(k_min, k_max, len(dataset))
     matrix = _matrix(dataset, spec, matrix)
-    dendrogram, cuts = None, {}
+    dendrogram, cuts, square = None, {}, None
     if spec.method == "ahc":
         dendrogram = build_dendrogram(matrix, spec.linkage, spec.size_weighted)
         try:
@@ -276,13 +279,22 @@ def sweep(dataset, spec: MethodSpec, k_min: int, k_max: int,
                             cut_range(dendrogram, k_min, k_max, matrix)))
         except ValueError:
             pass  # an objective overflowed: cut k by k, so only its k fails
+    elif (spec.method == "kmedoids" and matrix is not None
+          and dataset.normalization != "raw"):
+        # a raw dataset is left to fit, which refuses it at every k
+        square, memo = matrix.to_square(), {}
 
     rows = []
     diagnostics = []
     for k in range(k_min, k_max + 1):
         try:
-            result = (fit(dataset, spec, k, matrix) if dendrogram is None
-                      else cuts.get(k) or cut(dendrogram, k, matrix))
+            if dendrogram is not None:
+                result = cuts.get(k) or cut(dendrogram, k, matrix)
+            elif square is not None:
+                result = _kmedoids_fit(square, matrix.metric, spec.options(k),
+                                       memo)
+            else:
+                result = fit(dataset, spec, k, matrix)
             rows.append((k, wcbcr(result, dataset)))
         except (ValueError, FitError) as e:
             diagnostics.append(f"k={k}: {e}")

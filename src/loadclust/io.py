@@ -19,14 +19,15 @@ inside ``naming``, and ``FILE_ERRORS`` lists the errors that mean a defect.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import os
 from contextlib import contextmanager
 from datetime import date as Date
 
-from .curves import (HOURS_PER_DAY, NORMALIZATIONS, Dataset, LoadCurve,
-                     RawReading, check_types)
+import numpy as np
+
+from .curves import (HOURS_PER_DAY, NORMALIZATIONS, Dataset, RawReading,
+                     check_types, curve_values)
 
 READINGS_HEADER = ["household_id", "date", "hour", "kwh"]
 CURVES_HEADER = ["household_id", "date"] + [f"h{h}" for h in range(HOURS_PER_DAY)]
@@ -157,10 +158,11 @@ def write_curves(dataset: Dataset, path, extra: dict | None = None) -> None:
         "kind": "curves",
         "n_curves": len(dataset),
         "normalization": dataset.normalization,
-        "degenerate": [i for i, c in enumerate(dataset) if c.degenerate],
+        "degenerate": np.flatnonzero(dataset.degenerate).tolist(),
     }, extra, "manifest key")
     write_csv(path, CURVES_HEADER, (
-        [c.household_id, c.date.isoformat(), *c.values] for c in dataset),
+        [hid, day.isoformat(), *values] for hid, day, values in zip(
+            dataset.household_ids, dataset.dates, dataset.to_matrix().tolist())),
         sidecar=manifest)
 
 
@@ -190,15 +192,20 @@ def read_curves(path) -> tuple[Dataset, dict]:
         check_types("n_curves", (n_curves,), (int, type(None)))
     degenerate = set(degenerate)
     normalized = normalization != "raw"
-    # the manifest indexes curves, not lines, so a blank line shifts nothing
-    index = itertools.count()
+    ids, dates = [], []
 
     def parse(row):
-        return LoadCurve(row[2:], household_id=row[0],
-                         date=Date.fromisoformat(row[1]), normalized=normalized,
-                         degenerate=next(index) in degenerate)
+        day = Date.fromisoformat(row[1])
+        # the manifest indexes curves, not lines, so a blank line shifts nothing
+        values = curve_values(row[2:], row[0], day, normalized,
+                              len(ids) in degenerate)
+        ids.append(row[0])
+        dates.append(day)
+        return values
 
-    dataset = Dataset(tuple(read_csv(path, CURVES_HEADER, parse)), normalization)
+    rows = read_csv(path, CURVES_HEADER, parse)
+    dataset = Dataset.from_columns(rows, ids, dates, normalization,
+                                   [i in degenerate for i in range(len(rows))])
     with naming(path):
         if n_curves is not None and n_curves != len(dataset):
             raise ValueError(f"manifest says {n_curves} curves, file has {len(dataset)}")

@@ -16,7 +16,10 @@ pinned by name.
 K-means and the mixture operate on the raw 24-dimensional vectors with
 Euclidean geometry; K-medoids works purely from a precomputed pairwise
 matrix, with the hierarchy cut's medoid rule (``distance.cluster_medoids``),
-and is the partitional method that can cluster under DTW. The k-means++
+and is the partitional method that can cluster under DTW. A fit squares its
+matrix and keeps a memo of the medoid of each member set it meets, for its
+own restarts; a k-medoids ``sweep`` squares its matrix once and passes that
+square and one memo to the fit at every k (``_kmedoids_fit``). The k-means++
 runs that mixture restarts start from live with their dataset
 (``_plusplus_run``); no fit writes module-level state.
 """
@@ -187,8 +190,8 @@ def _plusplus_run(runs: dict, X: np.ndarray, k: int, seed: int,
 
     Restart r of ``kmeans(init="plusplus")`` and the initialization of
     mixture restart r are the same Lloyd run, so both take it from
-    ``runs``, which the dataset of ``X`` keeps in its instance dict, as
-    ``Dataset.to_matrix`` keeps its stack. The stored arrays are read-only
+    ``runs``, which the dataset of ``X`` keeps in its instance dict, beside
+    its curve array. The stored arrays are read-only
     and the trace a tuple, since every caller shares them.
     """
     key = (k, seed, max_iterations, tolerance)
@@ -291,16 +294,23 @@ def kmedoids(dataset, options: FitOptions,
         matrix = pairwise_matrix(dataset, metric or MetricConfig())
     else:
         check_matrix(matrix, n, metric)
-    S = matrix.to_square()
+    # a memo for this fit's restarts only
+    return _kmedoids_fit(matrix.to_square(), matrix.metric, options, {})
 
-    memo = {}  # member set -> medoid, for this fit's restarts only
+
+def _kmedoids_fit(S: np.ndarray, metric: MetricConfig, options: FitOptions,
+                  memo: dict) -> ClusteringResult:
+    """The restarts of ``kmedoids`` over the square ``S`` of a matrix built
+    under ``metric``. ``memo`` maps member sets to their medoids under
+    ``S``, so one memo serves every k: a k-medoids ``sweep`` passes the
+    same square and memo to each of its fits."""
     # label c is the cluster of medoids[c]: labels are argmin positions into
     # the sorted medoid array, so no relabeling is needed
     return _best_run(
         "kmedoids", options,
         lambda seed: _kmedoids_single(S, options.k, seed,
                                       options.max_iterations, memo),
-        MEDOID_INDEX, matrix.metric)
+        MEDOID_INDEX, metric)
 
 
 # --- Gaussian mixture -------------------------------------------------------

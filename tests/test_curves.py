@@ -188,6 +188,129 @@ class TestDataset:
         assert ds == Dataset(cs)
 
 
+def both_ways(rows, normalization="raw", degenerate=()):
+    """The same curves as a column-built and as a curve-built Dataset."""
+    ids = [f"h{i}" for i in range(len(rows))]
+    dates = [Date(2024, 1, 1 + i) for i in range(len(rows))]
+    flags = [i in degenerate for i in range(len(rows))]
+    columns = Dataset.from_columns(rows, ids, dates, normalization, flags)
+    curves = Dataset(tuple(
+        make_curve(r, hid=h, day=d, normalized=normalization != "raw",
+                   degenerate=f)
+        for r, h, d, f in zip(rows, ids, dates, flags)), normalization)
+    return columns, curves
+
+
+class TestColumns:
+    """A Dataset holds its curves as columns; a LoadCurve is built only for
+    an index or an iteration step, and a dataset built from columns is the
+    one built from the same curves."""
+
+    def check_same(self, columns, curves):
+        assert columns == curves and curves == columns
+        assert hash(columns) == hash(curves)
+        assert list(columns) == list(curves)
+        assert columns.curves == curves.curves
+        assert [columns[i] for i in range(len(curves))] == list(curves)
+        assert columns[-1] == curves[-1]
+        assert columns.to_matrix().tobytes() == curves.to_matrix().tobytes()
+        assert ([c.degenerate for c in columns]
+                == [c.degenerate for c in curves]
+                == columns.degenerate.tolist() == curves.degenerate.tolist())
+        assert repr(columns) == repr(curves)
+
+    def test_signed_zeros_and_subnormals(self):
+        rows = [[-0.0] * 12 + [0.0] * 12, [5e-324, -5e-324] * 12,
+                [2.2250738585072e-308] + [1.0] * 23]
+        columns, curves = both_ways(rows)
+        self.check_same(columns, curves)
+        assert [v.hex() for v in columns[0].values] == [
+            v.hex() for v in rows[0]]
+
+    def test_degenerate_rows(self):
+        rows = [[0.0] * 24, list(range(24)), [-0.0] * 24]
+        self.check_same(*both_ways(rows, "per-curve", degenerate={0, 2}))
+        columns, _ = both_ways(rows, "per-curve", degenerate={0})
+        assert columns != both_ways(rows, "per-curve")[0]
+
+    @pytest.mark.parametrize("mode", ["per-curve", PER_HOUR])
+    def test_normalized_equals_oracle(self, mode):
+        rows = np.random.default_rng(8).uniform(0.0, 4.0, size=(7, 24))
+        rows[:, 3] = 1.5  # a flat hour column
+        rows[2] = 1.5  # a flat curve: degenerate per curve
+        raw, from_curves = both_ways(rows)
+        self.check_same(raw, from_curves)
+        out = normalize_dataset(raw, mode)
+        oracle = (per_hour_oracle(from_curves) if mode == PER_HOUR else
+                  Dataset(tuple(map(z_normalize_oracle, from_curves)), mode))
+        self.check_same(out, oracle)
+        assert out.degenerate.tolist() == [mode != PER_HOUR and i == 2
+                                           for i in range(7)]
+
+    def test_unequal_columns(self):
+        rows = [list(range(24)), [1.0] * 24]
+        columns, _ = both_ways(rows)
+        other = Dataset.from_columns(rows, ["h0", "x"], columns.dates)
+        assert columns != other
+        assert columns != Dataset.from_columns(
+            rows, columns.household_ids, columns.dates, PER_HOUR)
+        assert columns != rows
+
+    def test_immutable_with_an_instance_dict(self):
+        columns, _ = both_ways([list(range(24))])
+        m = columns.to_matrix()
+        assert columns.to_matrix() is m
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 5.0
+        with pytest.raises(AttributeError):
+            columns.normalization = "per-curve"
+        vars(columns)["_scratch"] = 1  # where partitional keeps its runs
+
+    def test_bad_columns_raise_what_load_curve_raises(self):
+        ok = [0.0] * 24
+        day = Date(2024, 1, 1)
+        cases = [([ok, [math.inf] + ok[1:]], "raw", None),
+                 ([ok, [math.nan] + ok[1:]], "per-curve", None),
+                 ([ok, ok], "raw", [False, True]),
+                 ([ok, [1.0] + ok[1:]], "per-curve", [False, True])]
+        for rows, mode, flags in cases:
+            with pytest.raises(ValueError) as want:
+                LoadCurve(rows[1], "h1", day, normalized=mode != "raw",
+                          degenerate=bool(flags and flags[1]))
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                Dataset.from_columns(rows, ["h0", "h1"], [day] * 2, mode,
+                                     flags)
+        with pytest.raises(ValueError, match=r"need \(2, 24\) values"):
+            Dataset.from_columns([ok[:23]] * 2, ["h0", "h1"], [day] * 2)
+        with pytest.raises(ValueError, match="2 household ids, but 1 dates"):
+            Dataset.from_columns([ok] * 2, ["h0", "h1"], [day])
+        assert len(Dataset.from_columns([], [], [])) == 0
+
+    def test_file_to_file_builds_no_curve(self, tmp_path, monkeypatch):
+        from loadclust import curves as curves_module
+        from loadclust.io import read_curves, write_curves
+        raw, _ = generate_synthetic(SyntheticSpec.default(3, 20, 0.1, 2), 4)
+        write_curves(raw, tmp_path / "raw.csv")
+        built = []
+        post_init = curves_module.LoadCurve.__post_init__
+
+        def counting(curve):
+            built.append(curve)
+            post_init(curve)
+
+        monkeypatch.setattr(curves_module.LoadCurve, "__post_init__", counting)
+        loaded, _ = read_curves(tmp_path / "raw.csv")
+        for mode in ("per-curve", PER_HOUR):
+            out = normalize_dataset(loaded, mode)
+            write_curves(out, tmp_path / f"{mode}.csv")
+            again, _ = read_curves(tmp_path / f"{mode}.csv")
+            assert again == out
+        assert loaded == raw
+        assert built == []
+        assert out[7] == again[7]
+        assert len(built) == 2  # one curve per index, not the whole tuple
+
+
 class TestNormalizeDataset:
     def test_per_curve(self):
         ds = Dataset((make_curve(range(24)), make_curve([5.0] * 24)))

@@ -277,6 +277,15 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match="NaN"):
             DistanceMatrix(2, np.array([math.nan]))
 
+    def test_one_comparison_refuses_nan_and_negatives(self):
+        message = "^distances must be non-negative and not NaN$"
+        for bad in (-math.inf, -5e-324, -1.0, math.nan):
+            with pytest.raises(ValueError, match=message):
+                DistanceMatrix(3, np.array([1.0, bad, 2.0]))
+        m = DistanceMatrix(3, np.array([-0.0, math.inf, 5e-324]))
+        assert [v.hex() for v in m.condensed] == ["-0x0.0p+0", "inf",
+                                                  "0x0.0000000000001p-1022"]
+
     def test_condensed_is_read_only(self):
         m = self.make([[0, 1], [1, 0]])
         with pytest.raises(ValueError):

@@ -376,6 +376,46 @@ class TestSweep:
         report = sweep(ds, MethodSpec("ahc"), 2, 4, matrix=noisy_matrix)
         assert len(report.rows) == 3
 
+    @pytest.mark.parametrize("kind", ["dtw", "euclidean"])
+    def test_kmedoids_squares_once_and_scores_as_fit(
+            self, noisy_dataset, noisy_matrix, monkeypatch, kind):
+        ds, _ = noisy_dataset
+        spec = MethodSpec("kmedoids", metric=MetricConfig(kind), restarts=4)
+        matrix = (noisy_matrix if kind == "dtw" else
+                  pairwise_matrix(ds, spec.metric))
+        expect = [(k, wcbcr(fit(ds, spec, k, matrix), ds).hex())
+                  for k in range(2, 9)]
+        squares = []
+        to_square = DistanceMatrix.to_square
+
+        def counting(m):
+            squares.append(m)
+            return to_square(m)
+
+        monkeypatch.setattr(DistanceMatrix, "to_square", counting)
+        report = sweep(ds, spec, 2, 8, matrix=matrix)
+        assert squares == [matrix]
+        assert [(k, w.hex()) for k, w in report.rows] == expect
+        assert report.diagnostics == ()
+        squares.clear()
+        sweep(ds, spec, 2, 4)  # the matrix it builds, squared once too
+        assert len(squares) == 1
+
+    def test_kmedoids_on_raw_data_squares_nothing(self, noisy_matrix,
+                                                  monkeypatch):
+        from loadclust import SyntheticSpec, generate_synthetic
+        raw, _ = generate_synthetic(
+            SyntheticSpec.default(3, 10, noise_std=0.1, shift_range=2), 0)
+
+        def forbidden(m):
+            raise AssertionError("no square for a raw dataset")
+
+        monkeypatch.setattr(DistanceMatrix, "to_square", forbidden)
+        report = sweep(raw, MethodSpec("kmedoids"), 2, 3, matrix=noisy_matrix)
+        assert report.rows == ()
+        assert report.diagnostics == tuple(
+            f"k={k}: {TestRawKmedoidsRefusedFirst.MESSAGE}" for k in (2, 3))
+
     def test_degenerate_ks_become_diagnostics(self):
         base = z_normalize(make_curve(range(24)))
         ds = Dataset((base,) * 8, "per-curve")
