@@ -231,7 +231,7 @@ def build_dendrogram(matrix: DistanceMatrix, linkage: str = "average",
 
 def cut(dendrogram: Dendrogram, k: int, matrix: DistanceMatrix) -> ClusteringResult:
     """Flat k-clustering read off the hierarchy: ``cut_range`` at one k."""
-    return cut_range(dendrogram, k, k, matrix)[0]
+    return _cutter(dendrogram, k, k, matrix)(k)
 
 
 def cut_range(dendrogram: Dendrogram, k_min: int, k_max: int,
@@ -248,8 +248,19 @@ def cut_range(dendrogram: Dendrogram, k_min: int, k_max: int,
     each of the 2 * k_max - k_min member sets is summed once. Each result
     has the bits of a fresh cut at its k. Walking k upward sums the
     largest clusters first; the smaller member-row gathers reuse their
-    memory.
+    memory. The pass is ``_cutter``'s, which ``cut`` and an ahc ``sweep``
+    also read, one k at a time.
     """
+    cut_k = _cutter(dendrogram, k_min, k_max, matrix)
+    return [cut_k(k) for k in range(k_min, k_max + 1)]
+
+
+def _cutter(dendrogram: Dendrogram, k_min: int, k_max: int,
+            matrix: DistanceMatrix):
+    """``cut_k(k)``, the cut at any k in [k_min, k_max], built on demand
+    from one walk of the merges, one square of ``matrix`` and one medoid
+    memo, which ``cut_k`` keeps alive. A k whose result cannot be built
+    (an objective that overflows) fails alone."""
     n = dendrogram.n_leaves
     check_k(k_min, k_max, n, least=1)
     square = check_matrix(matrix, n, dendrogram.metric).to_square()
@@ -266,20 +277,13 @@ def cut_range(dendrogram: Dendrogram, k_min: int, k_max: int,
             leaves[n + t] = leaves.pop(step.left) + leaves.pop(step.right)
 
     memo = {}  # member set -> medoid, shared by every k of the range
-    results = []
-    for k in range(k_min, k_max + 1):
+
+    def cut_k(k: int) -> ClusteringResult:
         medoids, objective = cluster_medoids(square, labelings[k], k, memo)
-        results.append(ClusteringResult(
-            method="ahc",
-            k=k,
-            assignments=labelings[k],
-            prototypes=medoids,
-            prototype_kind=MEDOID_INDEX,
-            objective=objective,
-            iterations=len(dendrogram.merges),
-            converged=True,
-            seed=None,
-            metric=dendrogram.metric,
-            linkage=dendrogram.linkage,
-        ))
-    return results
+        return ClusteringResult(
+            method="ahc", k=k, assignments=labelings[k], prototypes=medoids,
+            prototype_kind=MEDOID_INDEX, objective=objective,
+            iterations=len(dendrogram.merges), converged=True, seed=None,
+            metric=dendrogram.metric, linkage=dendrogram.linkage)
+
+    return cut_k

@@ -18,6 +18,9 @@ The elbow rule is deterministic (no eyeballing): normalize the (k, score)
 points to the unit square, measure each interior point's perpendicular
 distance to the chord joining the first and last points, and take the k
 with the largest deviation.
+
+One run path: ``fit`` and ``sweep`` reach every method through one
+dispatch, ``_fitter``, so a sweep row scores exactly the fit at its k.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ahc import LINKAGES, build_dendrogram, cut, cut_range
+from .ahc import LINKAGES, _cutter, build_dendrogram
 from .curves import check_k, check_types
 from .distance import (MetricConfig, UnnormalizedDataWarning, check_matrix,
                        paired_distances, pairwise_matrix, total_distance)
@@ -45,10 +48,10 @@ EVALUATION_METRIC = "euclidean"
 
 SWEEP_HEADER = ["k", "wcbcr"]
 
-#: Peak bytes per n² of the matrix methods: the 4n² condensed matrix, then
-#: ahc's 8n² build square or a cut's 8n² square plus its member rows (under
-#: 8n²), and kmedoids' 8n² square.
-_SQUARE_BYTES = {"ahc": 20, "kmedoids": 12}
+#: Peak bytes per n² of a matrix method: the 4n² condensed matrix, then
+#: ahc's 8n² build square, or the 8n² square a cut or a k-medoids fit reads
+#: plus the member rows ``cluster_medoids`` gathers from it (under 8n²).
+_SQUARE_BYTES = 20
 
 
 def peak_bytes(n: int, k_max: int, method: str) -> int:
@@ -59,8 +62,8 @@ def peak_bytes(n: int, k_max: int, method: str) -> int:
     vector method (the mixture's (k, n, 24) E-step pass and its (n, k)
     arrays)."""
     fixed = 30 * 2**20 + 4096 * n
-    if method in _SQUARE_BYTES:
-        return fixed + _SQUARE_BYTES[method] * n * n
+    if method in MATRIX_METHODS:
+        return fixed + _SQUARE_BYTES * n * n
     return fixed + 256 * n * k_max
 
 
@@ -180,45 +183,50 @@ class MethodSpec(FitParams):
                                   for f in fields(FitParams)})
 
 
-def _matrix(dataset, spec: MethodSpec, matrix):
-    """The matrix a run of ``spec`` clusters through: None for a vector
-    method, which refuses one; else the caller's, once ``check_matrix``
-    accepts it, or a new ``pairwise_matrix``. Also None for kmedoids on a
-    raw dataset: ``kmedoids`` refuses raw data before it reads a matrix,
-    so none is computed for it."""
+def _fitter(dataset, spec: MethodSpec, k_min: int, k_max: int, matrix):
+    """``fit_k(k)``, the fit of ``spec`` at any k in [k_min, k_max]: the one
+    dispatch on ``spec.method``, behind ``fit`` and ``sweep``.
+
+    A vector method refuses a ``matrix`` and calls ``kmeans`` or ``gmm_em``
+    at each k. A matrix method checks the caller's matrix (``check_matrix``)
+    or builds one (``pairwise_matrix``), once; ahc then builds its tree and
+    cuts each k through one ``ahc._cutter``, and kmedoids squares the matrix
+    and fits each k through ``_kmedoids_fit`` with one medoid memo (member
+    set -> medoid, valid at any k), both freed with ``fit_k``. On a raw
+    dataset kmedoids computes no matrix: ``kmedoids`` refuses raw data at
+    every k.
+    """
     if spec.method not in MATRIX_METHODS:
         if matrix is not None:
             raise ValueError(f"{spec.method} does not use a distance matrix")
-        return None
+        if spec.method == "gmm":
+            return lambda k: gmm_em(dataset, spec.options(k))
+        init = "random" if spec.method == "kmeans" else "plusplus"
+        return lambda k: kmeans(dataset, spec.options(k), init=init)
     if matrix is not None:
-        return check_matrix(matrix, len(dataset), spec.metric)
+        matrix = check_matrix(matrix, len(dataset), spec.metric)
     if spec.method == "kmedoids" and dataset.normalization == "raw":
-        return None
-    return pairwise_matrix(dataset, spec.metric)
+        return lambda k: kmedoids(dataset, spec.options(k), spec.metric, matrix)
+    if matrix is None:
+        matrix = pairwise_matrix(dataset, spec.metric)
+    if spec.method == "ahc":
+        tree = build_dendrogram(matrix, spec.linkage, spec.size_weighted)
+        return _cutter(tree, k_min, k_max, matrix)
+    square, memo = matrix.to_square(), {}
+    return lambda k: _kmedoids_fit(square, matrix.metric, spec.options(k), memo)
 
 
 def fit(dataset, spec: MethodSpec, k: int, matrix=None) -> ClusteringResult:
-    """Run one clustering at one k under a MethodSpec.
+    """Run one clustering at one k under a MethodSpec: ``sweep``'s fit at k.
 
     For the matrix methods, a precomputed ``matrix`` skips the expensive
-    pairwise step; sweep exploits this to build it at most once. A
-    ``matrix`` for another number of curves or another metric, or one
-    given to a vector method, raises ValueError, and so does a k the
-    dataset cannot hold (``check_k``, least 1 for ahc's one-cluster cut),
-    before any distance is computed.
+    pairwise step. A ``matrix`` for another number of curves or another
+    metric, or one given to a vector method, raises ValueError, and so
+    does a k the dataset cannot hold (``check_k``, least 1 for ahc's
+    one-cluster cut), before any distance is computed.
     """
     check_k(k, k, len(dataset), least=1 if spec.method == "ahc" else 2)
-    matrix = _matrix(dataset, spec, matrix)
-    if spec.method == "ahc":
-        return cut(build_dendrogram(matrix, spec.linkage, spec.size_weighted),
-                   k, matrix)
-    if spec.method == "kmeans":
-        return kmeans(dataset, spec.options(k), init="random")
-    if spec.method == "kmeanspp":
-        return kmeans(dataset, spec.options(k), init="plusplus")
-    if spec.method == "kmedoids":
-        return kmedoids(dataset, spec.options(k), spec.metric, matrix)
-    return gmm_em(dataset, spec.options(k))
+    return _fitter(dataset, spec, k, k, matrix)(k)
 
 
 @dataclass(frozen=True)
@@ -259,43 +267,20 @@ def sweep(dataset, spec: MethodSpec, k_min: int, k_max: int,
           matrix=None) -> SweepReport:
     """Fit a method at every k in [k_min, k_max] and score each clustering.
 
-    The distance matrix (matrix methods) and the dendrogram (ahc) are built
-    exactly once and shared across all cuts/fits; a precomputed ``matrix``
-    skips even that, and is refused where ``fit`` would refuse it. Every k
-    of an ahc sweep is cut in one ``cut_range`` pass, after the build has
-    freed its working square. A k-medoids sweep squares the matrix once and
-    fits every k from that square and one medoid memo (member set ->
-    medoid, valid at any k), both freed when the sweep returns; each row is
-    the bits ``fit`` gives at its k. A fit that fails at some k becomes a
+    Every k is fit through one ``_fitter``, which builds the matrix, an ahc
+    tree and a matrix method's square and medoid memo once for the range,
+    so each row has the bits of ``wcbcr(fit(dataset, spec, k, matrix),
+    dataset)``. A precomputed ``matrix`` skips the pairwise step and is
+    refused where ``fit`` would refuse it. A fit that fails at some k (an
+    overflowing objective, a mixture failing every restart) becomes a
     diagnostic line, not an abort; deterministic throughout.
     """
     check_k(k_min, k_max, len(dataset))
-    matrix = _matrix(dataset, spec, matrix)
-    dendrogram, cuts, square = None, {}, None
-    if spec.method == "ahc":
-        dendrogram = build_dendrogram(matrix, spec.linkage, spec.size_weighted)
-        try:
-            cuts = dict(zip(range(k_min, k_max + 1),
-                            cut_range(dendrogram, k_min, k_max, matrix)))
-        except ValueError:
-            pass  # an objective overflowed: cut k by k, so only its k fails
-    elif (spec.method == "kmedoids" and matrix is not None
-          and dataset.normalization != "raw"):
-        # a raw dataset is left to fit, which refuses it at every k
-        square, memo = matrix.to_square(), {}
-
-    rows = []
-    diagnostics = []
+    fit_k = _fitter(dataset, spec, k_min, k_max, matrix)
+    rows, diagnostics = [], []
     for k in range(k_min, k_max + 1):
         try:
-            if dendrogram is not None:
-                result = cuts.get(k) or cut(dendrogram, k, matrix)
-            elif square is not None:
-                result = _kmedoids_fit(square, matrix.metric, spec.options(k),
-                                       memo)
-            else:
-                result = fit(dataset, spec, k, matrix)
-            rows.append((k, wcbcr(result, dataset)))
+            rows.append((k, wcbcr(fit_k(k), dataset)))
         except (ValueError, FitError) as e:
             diagnostics.append(f"k={k}: {e}")
     return SweepReport(spec, tuple(rows), EVALUATION_METRIC, tuple(diagnostics))

@@ -401,6 +401,24 @@ class TestSweep:
         sweep(ds, spec, 2, 4)  # the matrix it builds, squared once too
         assert len(squares) == 1
 
+    @pytest.mark.parametrize("spec", [
+        *(MethodSpec("ahc", linkage=linkage) for linkage in LINKAGES),
+        MethodSpec("ahc", size_weighted=True),
+        MethodSpec("kmeans", restarts=3),
+        MethodSpec("kmeanspp", restarts=3),
+        MethodSpec("gmm", restarts=3),
+        MethodSpec("gmm", restarts=3, covariance_kind="full"),
+    ], ids=lambda spec: spec.name() + "-full" * (spec.covariance_kind == "full"))
+    def test_every_method_scores_as_fit(self, noisy_dataset, noisy_matrix,
+                                        spec):
+        ds, _ = noisy_dataset
+        matrix = noisy_matrix if spec.method == "ahc" else None
+        expect = [(k, wcbcr(fit(ds, spec, k, matrix), ds).hex())
+                  for k in range(2, 9)]
+        report = sweep(ds, spec, 2, 8, matrix=matrix)
+        assert [(k, w.hex()) for k, w in report.rows] == expect
+        assert report.diagnostics == ()
+
     def test_kmedoids_on_raw_data_squares_nothing(self, noisy_matrix,
                                                   monkeypatch):
         from loadclust import SyntheticSpec, generate_synthetic
@@ -426,9 +444,10 @@ class TestSweep:
         for k, line in zip((2, 3, 4), report.diagnostics):
             assert line.startswith(f"k={k}:")
 
-    def test_overflowing_objective_fails_only_its_k(self):
+    def test_overflowing_objective_fails_only_its_k(self, monkeypatch):
         # {0,1} and {2,3} join at 1e308 under single linkage, so the k=2
-        # cut's member-to-medoid total overflows; k=3 and k=4 still score
+        # cut's member-to-medoid total overflows; k=3 and k=4 still score,
+        # from the square the cuts share: one for the build, one for the cuts
         huge, far = 1e308, 1.7e308
         square = [[0, 1, huge, huge, far], [1, 0, huge, huge, far],
                   [huge, huge, 0, 1, far], [huge, huge, 1, 0, far],
@@ -436,11 +455,20 @@ class TestSweep:
         n = len(square)
         m = DistanceMatrix(n, np.asarray(square)[np.triu_indices(n, 1)])
         ds = embed_1d([0.0, 1.0, 5.0, 6.0, 20.0], normalized=True)
+        squares = []
+        to_square = DistanceMatrix.to_square
+
+        def counting(matrix):
+            squares.append(matrix)
+            return to_square(matrix)
+
+        monkeypatch.setattr(DistanceMatrix, "to_square", counting)
         with np.errstate(over="ignore"):
             report = sweep(ds, MethodSpec("ahc", linkage="single"), 2, 4,
                            matrix=m)
         assert report.ks() == (3, 4)
         assert report.diagnostics == ("k=2: objective must be finite",)
+        assert squares == [m, m]
 
     def test_k_range_validation(self, noisy_dataset):
         ds, _ = noisy_dataset
@@ -460,6 +488,26 @@ class TestSweep:
             report = sweep(ds, MethodSpec(method, restarts=2), 2, 4)
             assert report.ks() == (2, 3, 4)
             assert all(s >= 0 for s in report.scores())
+
+
+@pytest.mark.parametrize("method", ["ahc", "kmedoids"])
+def test_peak_bytes_bounds_a_traced_matrix_sweep(method):
+    """The n² and per-curve terms of ``peak_bytes`` cover what a sweep
+    allocates, its matrix included; the 30 MB for the interpreter and numpy
+    is left out, since tracemalloc does not see it."""
+    import tracemalloc
+
+    from loadclust import SyntheticSpec, generate_synthetic, normalize_dataset
+    raw, _ = generate_synthetic(SyntheticSpec.default(4, 300, 0.15, 2), 1)
+    ds = normalize_dataset(raw)
+    spec = MethodSpec(method, metric=MetricConfig("euclidean"))
+    tracemalloc.start()
+    try:
+        sweep(ds, spec, 2, 3, matrix=pairwise_matrix(ds, spec.metric))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= ev.peak_bytes(len(ds), 3, method) - 30 * 2**20
 
 
 class TestSweepReport:

@@ -535,7 +535,7 @@ class TestCliMemoryAdmission:
                                                                 method))
 
     @pytest.mark.parametrize("method, need", [("ahc", 2823),
-                                              ("kmedoids", 1725)])
+                                              ("kmedoids", 2823)])
     def test_matrix_run_above_the_limit_exits_2_writing_nothing(
             self, tmp_path, synth_file, as_if_12000_curves, monkeypatch,
             method, need, capsys):
