@@ -6,10 +6,10 @@ curves are z-normalized (zero mean, unit variance) before any distance is
 computed; magnitude differences between households would otherwise dominate
 every shape comparison.
 
-A ``Dataset`` holds its curves as columns: one read-only (n, 24) float64
-array, which every algorithm reads through ``to_matrix``, and the household
-ids, dates and degenerate flags beside it. The reader, the normalization
-and the generators build a dataset straight from those columns
+A ``Dataset`` holds its curves once, as columns: one read-only (n, 24)
+float64 array, which every algorithm reads through ``to_matrix``, and the
+household ids, dates and degenerate flags beside it. The reader, the
+normalization and the generators build a dataset straight from those columns
 (``Dataset.from_columns``), checking all values with one vectorized test; a
 ``LoadCurve`` is built only when a caller indexes or iterates the dataset.
 
@@ -115,15 +115,15 @@ class Dataset:
     every artifact derived from the dataset (distance matrices, cluster
     assignments, prototype indices).
 
-    The curves are held as columns: the read-only (n, 24) float64 array
-    that ``to_matrix`` returns, which every algorithm reads, and beside it
-    the ``household_ids``, the ``dates`` and the read-only ``degenerate``
-    flags. ``Dataset(curves, normalization)`` takes LoadCurves and keeps
-    them as well; ``Dataset.from_columns`` takes the columns, and then a
-    LoadCurve is built only for the index or the iteration step that asks
-    for it (``.curves`` builds them all, once). Either way the dataset is
-    immutable, and two datasets are equal when their normalization and
-    columns are.
+    The curves are held once, as columns: the read-only (n, 24) float64
+    array that ``to_matrix`` returns, which every algorithm reads, and
+    beside it the ``household_ids``, the ``dates`` and the read-only
+    ``degenerate`` flags. ``Dataset(curves, normalization)`` takes
+    LoadCurves and ``Dataset.from_columns`` takes the columns; either way
+    only the columns are kept, and a LoadCurve is built for the index or
+    the iteration step that asks for it (``.curves`` builds them all). The
+    dataset is immutable, and two datasets are equal when their
+    normalization and columns are.
     """
 
     def __init__(self, curves, normalization: str = RAW):
@@ -141,7 +141,6 @@ class Dataset:
                   tuple(c.household_id for c in curves),
                   tuple(c.date for c in curves),
                   [c.degenerate for c in curves], normalization)
-        vars(self)["_curves"] = curves
 
     @classmethod
     def from_columns(cls, values, household_ids, dates,
@@ -192,11 +191,8 @@ class Dataset:
 
     @property
     def curves(self) -> tuple:
-        """The LoadCurves in order."""
-        curves = vars(self).get("_curves")
-        if curves is None:
-            curves = vars(self)["_curves"] = tuple(self)
-        return curves
+        """The LoadCurves in order, built from the columns."""
+        return tuple(self)
 
     def _curve(self, i) -> LoadCurve:
         return LoadCurve(self._matrix[i].tolist(), self.household_ids[i],
@@ -207,14 +203,11 @@ class Dataset:
         return len(self.household_ids)
 
     def __iter__(self):
-        curves = vars(self).get("_curves")
-        if curves is not None:
-            return iter(curves)
         return map(self._curve, range(len(self)))
 
     def __getitem__(self, i):
-        if "_curves" in vars(self) or isinstance(i, slice):
-            return self.curves[i]
+        if isinstance(i, slice):
+            return tuple(map(self._curve, range(len(self))[i]))
         return self._curve(i)
 
     def __eq__(self, other):

@@ -58,12 +58,14 @@ def peak_bytes(n: int, k_max: int, method: str) -> int:
     """README's bound on the peak resident memory of a run of ``method``
     over ``n`` curves at k up to ``k_max``: about 30 MB for the interpreter
     and numpy, 4 KB per curve for the parsed and normalized curves, plus
-    ``_SQUARE_BYTES`` n² for a matrix method or 256 n k_max bytes for a
-    vector method (the mixture's (k, n, 24) E-step pass and its (n, k)
-    arrays)."""
+    ``_SQUARE_BYTES`` n² for a matrix method and the freed heap glibc keeps
+    resident (it trims only past twice its mmap threshold, which rises to
+    the largest block freed, an 8n² square, up to 32 MiB), or 256 n k_max
+    bytes for a vector method (the mixture's (k, n, 24) E-step pass and
+    its (n, k) arrays)."""
     fixed = 30 * 2**20 + 4096 * n
     if method in MATRIX_METHODS:
-        return fixed + _SQUARE_BYTES * n * n
+        return fixed + _SQUARE_BYTES * n * n + min(16 * n * n, 64 * 2**20)
     return fixed + 256 * n * k_max
 
 
@@ -102,7 +104,7 @@ def wcbcr(result: ClusteringResult, dataset) -> float:
     """
     if result.k < 2:
         raise ValueError("wcbcr needs k >= 2 (between-cluster sum is empty)")
-    if getattr(dataset, "normalization", None) == "raw":
+    if dataset.normalization == "raw":
         warnings.warn(
             "scoring a clustering of unnormalized curves; magnitude will "
             "dominate the ratio",

@@ -47,7 +47,7 @@ class FitError(RuntimeError):
 def _checked_matrix(dataset, k: int) -> np.ndarray:
     """The dataset as an (n, 24) array, once it is known to be normalized
     and to hold at least ``k`` curves."""
-    if getattr(dataset, "normalization", None) == "raw":
+    if dataset.normalization == "raw":
         raise ValueError(
             "partitional methods require a normalized dataset; "
             "call normalize_dataset first"

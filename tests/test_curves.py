@@ -173,7 +173,11 @@ class TestDataset:
         cs = tuple(make_curve([i] * 23 + [i + 1.0], hid=f"h{i}") for i in range(3))
         ds = Dataset(cs)
         assert len(ds) == 3
-        assert ds[1] is cs[1]
+        assert ds[1] == cs[1]
+        assert ds[-1] == cs[-1]
+        assert ds[0:2] == cs[0:2]
+        with pytest.raises(IndexError):
+            ds[3]
         assert list(ds) == list(cs)
         assert ds.to_matrix().shape == (3, 24)
 

@@ -534,8 +534,8 @@ class TestCliMemoryAdmission:
                             lambda n, k_max, method: peak_bytes(12000, k_max,
                                                                 method))
 
-    @pytest.mark.parametrize("method, need", [("ahc", 2823),
-                                              ("kmedoids", 2823)])
+    @pytest.mark.parametrize("method, need", [("ahc", 2887),
+                                              ("kmedoids", 2887)])
     def test_matrix_run_above_the_limit_exits_2_writing_nothing(
             self, tmp_path, synth_file, as_if_12000_curves, monkeypatch,
             method, need, capsys):
@@ -585,6 +585,33 @@ class TestCliMemoryAdmission:
                      tmp_path / "r.json", "--k", 3)
         assert rc == 1
         assert capsys.readouterr().err == line
+
+    @pytest.mark.skipif(not hasattr(resource, "RUSAGE_CHILDREN"),
+                        reason="needs resource.RUSAGE_CHILDREN")
+    @pytest.mark.parametrize("method", ["ahc", "kmedoids"])
+    def test_estimate_covers_a_real_sweep(self, tmp_path, method):
+        """``peak_bytes`` is at least the resident peak of a real euclidean
+        k=2..8 sweep of 1,000 curves. The sweep runs in a grandchild, so the
+        child's RUSAGE_CHILDREN peak is the sweep's alone."""
+        curves = tmp_path / "curves.csv"
+        assert run_cli("synth", "--output", curves, "--k-true", 4,
+                       "--per-archetype", 250, "--noise", 0.15, "--shift", 2,
+                       "--seed", 1) == 0
+        argv = [sys.executable, "-m", "loadclust.cli", "sweep", "--input",
+                str(curves), "--output", str(tmp_path / "sweep.csv"),
+                "--method", method, "--distance", "euclidean",
+                "--k-min", "2", "--k-max", "8"]
+        probe = ("import resource, subprocess\n"
+                 f"subprocess.run({argv!r}, check=True, "
+                 "stdout=subprocess.DEVNULL)\n"
+                 "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rss = int(proc.stdout) * (1 if sys.platform == "darwin" else 1024)
+        assert rss <= peak_bytes(1000, 8, method)
 
 
 class TestCliSweepAndElbow:
