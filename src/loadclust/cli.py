@@ -171,8 +171,7 @@ def _k_range(args) -> tuple:
 
 
 def _admit(args, spec: MethodSpec, n: int) -> None:
-    """Refuse a run whose ``peak_bytes`` estimate (20n² bytes plus up to
-    64 MiB of freed heap for either matrix method) is above the soft
+    """Refuse a run whose ``peak_bytes`` estimate is above the soft
     address space limit (``ulimit -v``), if there is one. The estimate
     counts resident bytes and the limit mapped ones, which are more, so
     the check errs toward admitting a run; a cgroup memory limit is not

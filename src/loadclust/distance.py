@@ -383,12 +383,11 @@ def total_distance(gaps) -> float:
 
 
 def cluster_medoids(square: np.ndarray, labels, k: int,
-                    memo: dict | None = None) -> tuple[list, float]:
+                    memo: dict) -> tuple[list, float]:
     """Each cluster's ``medoid`` and the ``total_distance`` of every member
     to its medoid, for labels 0..k-1. ``memo`` (member index bytes ->
     ``medoid``, for this ``square`` only) spares a repeated set its sum."""
     labels = np.asarray(labels)
-    memo = {} if memo is None else memo
     order = np.argsort(labels, kind="stable")  # each cluster's members ascending
     bounds = np.searchsorted(labels[order], np.arange(k + 1))
     found = []

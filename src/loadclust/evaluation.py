@@ -57,16 +57,18 @@ _SQUARE_BYTES = 20
 def peak_bytes(n: int, k_max: int, method: str) -> int:
     """README's bound on the peak resident memory of a run of ``method``
     over ``n`` curves at k up to ``k_max``: about 30 MB for the interpreter
-    and numpy, 4 KB per curve for the parsed and normalized curves, plus
+    and numpy, 8 MiB more for every method but ahc (its first draw loads
+    ``numpy.random``, 5.7 MiB, and the mixture's BLAS and LAPACK calls
+    add more), 4 KB per curve for the parsed and normalized curves, plus
     ``_SQUARE_BYTES`` n² for a matrix method and the freed heap glibc keeps
     resident (it trims only past twice its mmap threshold, which rises to
-    the largest block freed, an 8n² square, up to 32 MiB), or 256 n k_max
-    bytes for a vector method (the mixture's (k, n, 24) E-step pass and
-    its (n, k) arrays)."""
-    fixed = 30 * 2**20 + 4096 * n
+    the largest block freed, an 8n² square, up to 32 MiB), or 512 n k_max
+    bytes for a vector method (the mixture's (k, n, 24) E-step pass, live
+    and freed, and its (n, k) arrays)."""
+    fixed = (30 if method == "ahc" else 38) * 2**20 + 4096 * n
     if method in MATRIX_METHODS:
         return fixed + _SQUARE_BYTES * n * n + min(16 * n * n, 64 * 2**20)
-    return fixed + 256 * n * k_max
+    return fixed + 512 * n * k_max
 
 
 class DegenerateClusteringError(ValueError):

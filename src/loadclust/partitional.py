@@ -152,10 +152,7 @@ def _kmeans_single(X: np.ndarray, k: int, seed: int, init: str,
     changed = range(k)
     labels = None
     trace = []
-    converged = False
-    iterations = 0
-    for _ in range(max_iterations):
-        iterations += 1
+    for iterations in range(1, max_iterations + 1):
         # assignment: nearest centroid, ties to the lowest centroid index
         for c in changed:
             diff = X - centroids[c]
@@ -169,19 +166,12 @@ def _kmeans_single(X: np.ndarray, k: int, seed: int, init: str,
             changed = np.union1d(labels[moved], new_labels[moved])
         for c in changed:
             centroids[c] = X[new_labels == c].mean(axis=0)
-        objective = float(np.sum((X - centroids[new_labels]) ** 2))
-        trace.append(objective)
-
-        if labels is not None and np.array_equal(new_labels, labels):
-            converged = True
-            labels = new_labels
-            break
-        if len(trace) >= 2 and trace[-2] - trace[-1] < tolerance:
-            converged = True
-            labels = new_labels
-            break
+        trace.append(float(np.sum((X - centroids[new_labels]) ** 2)))
+        if (labels is not None and np.array_equal(new_labels, labels)
+                or len(trace) >= 2 and trace[-2] - trace[-1] < tolerance):
+            return new_labels, centroids, trace, iterations, True
         labels = new_labels
-    return labels, centroids, trace, iterations, converged
+    return labels, centroids, trace, max_iterations, False
 
 
 def _plusplus_run(runs: dict, X: np.ndarray, k: int, seed: int,
@@ -235,46 +225,37 @@ def kmeans(dataset, options: FitOptions, init: str = "random") -> ClusteringResu
 # --- K-medoids --------------------------------------------------------------
 
 def _kmedoids_single(S: np.ndarray, k: int, seed: int,
-                     max_iterations: int, memo: dict | None = None):
+                     max_iterations: int, memo: dict):
     """One Voronoi-iteration run over a square distance matrix ``S``, its
-    medoids read from and added to ``memo`` (see ``cluster_medoids``)."""
+    medoids read from and added to ``memo`` (see ``cluster_medoids``).
+
+    A run out of iterations makes one more assignment, so that its labels
+    align with its final medoid set; its objective is then numpy's
+    pairwise sum in curve order, kept so that it keeps its bits."""
     n = len(S)
-    memo = {} if memo is None else memo
     points = np.arange(n)
     rng = np.random.default_rng(seed)
     medoids = np.sort(rng.choice(n, size=k, replace=False))
 
     trace = []
-    converged = False
-    iterations = 0
-    labels = None
-    for _ in range(max_iterations):
-        iterations += 1
+    for iterations in range(1, max_iterations + 2):
         # assignment: nearest medoid, read from the medoid rows (S is
         # symmetric bit for bit); medoids are kept sorted ascending so
         # argmin's first-occurrence rule is the lowest-medoid-index tie rule
         d = S[medoids]
         labels = np.argmin(d, axis=0)
         labels = _repair_empty(labels, k, d[labels, points])
+        if iterations > max_iterations:
+            trace.append(float(d[labels, points].sum()))
+            return labels, medoids, trace, max_iterations, False
         # update: each cluster's medoid (unmoved or already met: from the
         # memo), sorted for the next assignment
         by_cluster, cost = cluster_medoids(S, labels, k, memo)
         trace.append(cost)
         new_medoids = np.sort(by_cluster)
         if np.array_equal(new_medoids, medoids):
-            converged = True
-            break
+            return labels, medoids, trace, iterations, True
         medoids = new_medoids
-
-    if not converged:
-        # align labels with the final medoid set; the objective is numpy's
-        # pairwise sum in curve order, kept so that it keeps its bits
-        medoids = new_medoids
-        d = S[medoids]
-        labels = np.argmin(d, axis=0)
-        labels = _repair_empty(labels, k, d[labels, points])
-        trace.append(float(d[labels, points].sum()))
-    return labels, medoids, trace, iterations, converged
 
 
 def kmedoids(dataset, options: FitOptions,
@@ -388,23 +369,19 @@ def _gmm_init(X, k, seed, options, runs):
     return weights, means, covs
 
 
-def _gmm_single(X, k, seed, options, runs=None):
-    """One EM run, initialized from the k-means++ run in ``runs`` (default:
-    a fresh store). Returns None when the log-likelihood turns non-finite or
-    a component collapses: its weight falls below ``_COLLAPSE_WEIGHT`` or it
-    owns no argmax point. Otherwise the means are those of the last E-step."""
+def _gmm_single(X, k, seed, options, runs):
+    """One EM run, initialized from the k-means++ run in ``runs``. Returns
+    None when the log-likelihood turns non-finite or a component collapses:
+    its weight falls below ``_COLLAPSE_WEIGHT`` or it owns no argmax point.
+    Otherwise the means are those of the last E-step."""
     n, d = X.shape
     kind = options.covariance_kind
     reg = options.covariance_regularizer
-    weights, means, covs = _gmm_init(X, k, seed, options,
-                                     {} if runs is None else runs)
+    weights, means, covs = _gmm_init(X, k, seed, options, runs)
 
     trace = []
     prev_ll = -math.inf
-    converged = False
-    iterations = 0
-    for _ in range(options.max_iterations):
-        iterations += 1
+    for iterations in range(1, options.max_iterations + 1):
         step = _e_step(X, weights, means, covs, kind)
         if step is None:
             return None
@@ -414,11 +391,10 @@ def _gmm_single(X, k, seed, options, runs=None):
         if ((weights < _COLLAPSE_WEIGHT).any()
                 or not np.bincount(assignments, minlength=k).all()):
             return None
-        fitted = means  # the M-step rebinds means, so no copy is needed
-
         if avg_ll - prev_ll < options.tolerance:
-            converged = True
-            break
+            return assignments, means, trace, iterations, True
+        if iterations == options.max_iterations:
+            return assignments, means, trace, iterations, False
         prev_ll = avg_ll
 
         # M-step
@@ -436,8 +412,6 @@ def _gmm_single(X, k, seed, options, runs=None):
             for c in range(k):
                 diff = X - means[c]
                 covs[c] = (diff.T * resp[:, c]) @ diff / nk[c] + reg * np.eye(d)
-
-    return assignments, fitted, trace, iterations, converged
 
 
 def gmm_em(dataset, options: FitOptions) -> ClusteringResult:

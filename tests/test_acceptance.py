@@ -7,10 +7,13 @@ run. Oracles here are independent recomputations, not calls back into the
 code under test.
 """
 
+import ast
 import json
 import math
 import time
+from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse.csgraph import minimum_spanning_tree
@@ -231,3 +234,64 @@ def test_11_cli_pipeline_is_byte_deterministic(capsys, tmp_path):
         assert doc["k"] == 3 and doc["method"]["algorithm"] == "ahc"
         sidecar = json.loads(outs[0]["sweep.csv.json"])
         assert sidecar["elbow_k"] == 3
+
+
+#: The only ``@`` operators and BLAS or LAPACK calls in ``src/loadclust``,
+#: as (module, function, source) with their count: the mixture's. Those
+#: kernels pick their summation order by CPU, so README scopes the
+#: mixture's bytes to one machine and one numpy and BLAS build.
+BLAS_SITES = Counter({
+    ("partitional.py", "_log_densities", "np.linalg.cholesky(covs[c])"): 1,
+    ("partitional.py", "_log_densities",
+     "np.linalg.solve(L, (X - means[c]).T)"): 1,
+    ("partitional.py", "_gmm_init", "diff.T @ diff"): 1,
+    ("partitional.py", "_gmm_single", "resp.T @ X"): 1,
+    ("partitional.py", "_gmm_single", "resp[:, c] @ (diff * diff)"): 1,
+    ("partitional.py", "_gmm_single", "(diff.T * resp[:, c]) @ diff"): 1,
+})
+
+_BLAS_FUNCTIONS = {"dot", "matmul", "einsum", "inner", "tensordot"}
+
+
+def _blas_sites(path: Path):
+    """(function, source, line) of every ``@`` and every call of
+    ``np.dot``, ``np.matmul``, ``np.einsum``, ``np.inner``,
+    ``np.tensordot`` or ``np.linalg.*`` in ``path``; naming
+    ``np.linalg.LinAlgError`` is not a call."""
+    source = path.read_text(encoding="utf-8")
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        hit = isinstance(getattr(node, "op", None), ast.MatMult)
+        if isinstance(node, ast.Call):
+            module, _, name = ast.unparse(node.func).partition(".")
+            hit = module in ("np", "numpy") and (
+                name in _BLAS_FUNCTIONS or name.startswith("linalg."))
+        if hit:
+            found.append((function, ast.get_source_segment(source, node),
+                          node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source, str(path)), None)
+    return found
+
+
+def test_only_the_mixture_calls_blas():
+    """README's Reproducibility rule, checked: every reduction outside the
+    mixture is numpy's fixed serial order, never a BLAS or LAPACK kernel
+    chosen by CPU."""
+    src = Path(__file__).resolve().parents[1] / "src" / "loadclust"
+    seen, unexpected = Counter(), []
+    for path in sorted(src.glob("*.py")):
+        for function, code, line in _blas_sites(path):
+            site = (path.name, function, code)
+            seen[site] += 1
+            if seen[site] > BLAS_SITES[site]:
+                unexpected.append(f"{path.name}:{line}: {code}")
+    assert not unexpected, ("BLAS or LAPACK outside the allow-list: "
+                            + "; ".join(unexpected))
+    missing = sorted((BLAS_SITES - seen).elements())
+    assert not missing, f"allow-list sites not found: {missing}"

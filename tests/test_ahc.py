@@ -405,7 +405,7 @@ class TestCutAgainstOracle:
 
     def check_labels(self, matrix, labels):
         k = max(labels) + 1
-        medoids, objective = cluster_medoids(matrix.to_square(), labels, k)
+        medoids, objective = cluster_medoids(matrix.to_square(), labels, k, {})
         protos, expect = cut_oracle(labels, k, matrix)
         assert tuple(medoids) == protos
         assert objective.hex() == expect.hex()

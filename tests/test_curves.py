@@ -168,6 +168,9 @@ class TestDataset:
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown normalization"):
             Dataset((), "zscore")
+        with pytest.raises(ValueError,
+                           match="^unknown normalization 'zscore'$"):
+            Dataset.from_columns([], [], [], "zscore")
 
     def test_sequence_protocol(self):
         cs = tuple(make_curve([i] * 23 + [i + 1.0], hid=f"h{i}") for i in range(3))
@@ -268,6 +271,9 @@ class TestColumns:
             m[0, 0] = 5.0
         with pytest.raises(AttributeError):
             columns.normalization = "per-curve"
+        with pytest.raises(AttributeError,
+                           match="^cannot delete field 'normalization'$"):
+            del columns.normalization
         vars(columns)["_scratch"] = 1  # where partitional keeps its runs
 
     def test_bad_columns_raise_what_load_curve_raises(self):

@@ -270,6 +270,8 @@ class TestDistanceMatrix:
         assert np.array_equal(m.to_square(), sq)
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            DistanceMatrix(0, np.zeros(0))
         with pytest.raises(ValueError, match="length"):
             DistanceMatrix(3, np.zeros(2))
         with pytest.raises(ValueError, match="non-negative"):
@@ -295,9 +297,9 @@ class TestDistanceMatrix:
         # 4 points on a line at 0, 1, 2, 3: both middle points tie
         sq = [[abs(i - j) for j in range(4)] for i in range(4)]
         square = self.make(sq).to_square()
-        medoids, objective = cluster_medoids(square, [0, 0, 0, 0], 1)
+        medoids, objective = cluster_medoids(square, [0, 0, 0, 0], 1, {})
         assert list(medoids) == [1] and objective == 4.0
-        medoids, objective = cluster_medoids(square, [0, 0, 1, 2], 3)
+        medoids, objective = cluster_medoids(square, [0, 0, 1, 2], 3, {})
         assert list(medoids) == [0, 2, 3] and objective == 1.0
 
 

@@ -17,7 +17,7 @@ from loadclust import (Dataset, MethodSpec, MetricConfig, RawReading,
                        load_sweep, normalize_dataset)
 from loadclust import cli
 from loadclust.cli import main
-from loadclust.evaluation import peak_bytes
+from loadclust.evaluation import MATRIX_METHODS, peak_bytes
 from loadclust.io import (read_curves, read_readings, write_curves,
                           write_readings)
 
@@ -535,7 +535,7 @@ class TestCliMemoryAdmission:
                                                                 method))
 
     @pytest.mark.parametrize("method, need", [("ahc", 2887),
-                                              ("kmedoids", 2887)])
+                                              ("kmedoids", 2895)])
     def test_matrix_run_above_the_limit_exits_2_writing_nothing(
             self, tmp_path, synth_file, as_if_12000_curves, monkeypatch,
             method, need, capsys):
@@ -588,19 +588,21 @@ class TestCliMemoryAdmission:
 
     @pytest.mark.skipif(not hasattr(resource, "RUSAGE_CHILDREN"),
                         reason="needs resource.RUSAGE_CHILDREN")
-    @pytest.mark.parametrize("method", ["ahc", "kmedoids"])
+    @pytest.mark.parametrize("method", ["ahc", "kmedoids", "kmeanspp", "gmm"])
     def test_estimate_covers_a_real_sweep(self, tmp_path, method):
-        """``peak_bytes`` is at least the resident peak of a real euclidean
-        k=2..8 sweep of 1,000 curves. The sweep runs in a grandchild, so the
-        child's RUSAGE_CHILDREN peak is the sweep's alone."""
+        """``peak_bytes`` is at least the resident peak of a real k=2..8
+        sweep of 1,000 curves, euclidean for a matrix method. The sweep runs
+        in a grandchild, so the child's RUSAGE_CHILDREN peak is the sweep's
+        alone."""
         curves = tmp_path / "curves.csv"
         assert run_cli("synth", "--output", curves, "--k-true", 4,
                        "--per-archetype", 250, "--noise", 0.15, "--shift", 2,
                        "--seed", 1) == 0
         argv = [sys.executable, "-m", "loadclust.cli", "sweep", "--input",
                 str(curves), "--output", str(tmp_path / "sweep.csv"),
-                "--method", method, "--distance", "euclidean",
-                "--k-min", "2", "--k-max", "8"]
+                "--method", method, "--k-min", "2", "--k-max", "8"]
+        if method in MATRIX_METHODS:
+            argv += ["--distance", "euclidean"]
         probe = ("import resource, subprocess\n"
                  f"subprocess.run({argv!r}, check=True, "
                  "stdout=subprocess.DEVNULL)\n"

@@ -427,7 +427,7 @@ class TestKmedoidsAgainstOracle:
             for k in range(2, 9):
                 for seed in range(10):
                     labels, medoids, trace, iterations, converged = (
-                        _kmedoids_single(S, k, seed, max_iterations))
+                        _kmedoids_single(S, k, seed, max_iterations, {}))
                     expect = kmedoids_single_oracle(S, k, seed, max_iterations)
                     assert np.array_equal(labels, expect[0])
                     assert np.array_equal(medoids, expect[1])
@@ -502,7 +502,7 @@ class TestKmedoidsMemo:
                 for seed in range(10):
                     labels, medoids, trace, iterations, converged = (
                         _kmedoids_single(S, k, seed, max_iterations, memo))
-                    fresh = _kmedoids_single(S, k, seed, max_iterations)
+                    fresh = _kmedoids_single(S, k, seed, max_iterations, {})
                     assert np.array_equal(labels, fresh[0])
                     assert np.array_equal(medoids, fresh[1])
                     assert ([t.hex() for t in trace]
@@ -666,7 +666,7 @@ class TestGmmCollapse:
                    FitOptions(k=3, seed=0, restarts=2, covariance_kind=kind))
 
     def assert_same_run(self, X, k, seed, options):
-        got = _gmm_single(X, k, seed, options)
+        got = _gmm_single(X, k, seed, options, {})
         want = gmm_single_oracle(X, k, seed, options)
         assert (got is None) == (want is None)
         if want is None:
@@ -696,7 +696,7 @@ class TestGmmCollapse:
         X = rng.normal(size=(1, 24)) + 1e-6 * rng.normal(size=(4, 24))
         options = FitOptions(k=2, covariance_kind=kind)
         for seed in range(3):
-            assert _gmm_single(X, 2, seed, options) is None
+            assert _gmm_single(X, 2, seed, options, {}) is None
             want = gmm_single_oracle(X, 2, seed, options)
             assert want is not None and not want[4]
         ds = Dataset(tuple(make_curve(row, hid=str(i), normalized=True)
@@ -800,7 +800,7 @@ class TestRestartRule:
         S = noisy_matrix.to_square()
         for k, seed in ((3, 0), (5, 7)):
             options = FitOptions(k=k, seed=seed, restarts=10)
-            runs = [_kmedoids_single(S, k, seed + r, 300) for r in range(10)]
+            runs = [_kmedoids_single(S, k, seed + r, 300, {}) for r in range(10)]
             assert_fit_is_run(kmedoids(ds, options, matrix=noisy_matrix),
                               first_best(runs))
 
@@ -812,7 +812,7 @@ class TestRestartRule:
             options = FitOptions(k=k, seed=seed, restarts=4,
                                  covariance_kind=kind,
                                  covariance_regularizer=1e-4)
-            runs = [_gmm_single(X, k, seed + r, options) for r in range(4)]
+            runs = [_gmm_single(X, k, seed + r, options, {}) for r in range(4)]
             assert_fit_is_run(gmm_em(ds, options),
                               first_best(runs, higher_is_better=True))
 
@@ -825,7 +825,7 @@ class TestRestartRule:
         X = ds.to_matrix()
         options = FitOptions(k=3, restarts=4, covariance_kind=kind,
                              covariance_regularizer=1.0)
-        runs = [_gmm_single(X, 3, r, options) for r in range(4)]
+        runs = [_gmm_single(X, 3, r, options, {}) for r in range(4)]
         assert runs[0] is None and all(run is not None for run in runs[1:])
         assert_fit_is_run(gmm_em(ds, options),
                           first_best(runs, higher_is_better=True))
