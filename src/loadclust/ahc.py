@@ -123,33 +123,40 @@ def build_dendrogram(matrix: DistanceMatrix, linkage: str = "average",
     ``size_weighted`` switches the average rule from the two-term mean to
     the member-count-weighted mean and is ignored by the other linkages.
 
-    Working state: slot ``s`` of an n x n working matrix holds the cluster
-    with id ``ids[s]``. Merging ids a < b writes the linkage row into b's
-    slot, gives it id n+t and retires a's slot. Each live row caches
-    ``nd[s]``, its smallest distance to a live partner with a *larger* id,
-    and ``nn[s]``, that partner (the smallest id on ties). A row whose
-    ``nn`` was just merged away keeps its old ``nd`` as a lower bound and is
-    marked stale; it is rescanned only when it reaches the top of the
-    selection. The new cluster has the largest id, so its own row is empty,
-    and a row that is strictly closer to it than its ``nd`` takes it as its
-    exact ``nn``. Every row starts exact: before the first merge ids equal
-    slots, so one vectorized pass over blocks of rows takes each row's
-    first minimum to the right of the diagonal, the smallest partner id.
+    Working state: slot ``s`` of an n x n working matrix holds the
+    distances of cluster ``id_of[s]``; the rest is kept by cluster id,
+    0..2n-2, where merge t creates id n+t. ``slot[i]`` is id i's slot, or
+    the sentinel n once i is retired or while it is unborn. ``line`` holds
+    one row in slot order plus an inf at slot n, so a row gathered into id
+    order through ``slot`` reads inf at every id that is not live. Merging
+    ids a < b writes the linkage row into b's slot, hands the slot to the
+    new id and retires a and b. ``nd[i]`` bounds from below id i's smallest
+    distance to a live partner with a *larger* id, and ``nn[i]`` is the
+    partner it came from. While ``nn[i]`` is live the bound is exact and
+    ``nn[i]`` the smallest such partner: distances between live clusters
+    never change, and each new id, the largest yet, becomes ``nn`` of every
+    row strictly closer to it than its ``nd``. A row whose ``nn`` is retired
+    keeps its ``nd`` as a lower bound and is rescanned only when it is
+    picked. Every row starts exact: before the first merge ids equal slots,
+    so one vectorized pass over blocks of rows takes each row's first
+    minimum to the right of the diagonal, the smallest partner id.
 
-    Why the tie rule survives: each merge takes the rows with the smallest
-    ``nd`` and, among them, the one with the smallest id, rescanning it first
-    if it is stale. Stale values never exceed the true row minimum, so when
-    an exact row comes out on top its ``nd`` is the global minimum distance
-    m. Any row with a smaller id that also reaches m would have an ``nd`` of
-    at most m, so it would tie and be taken (or rescanned) first. The chosen
-    row is therefore the smallest id that reaches m, and its ``nn`` the
-    smallest partner id at m: the lexicographically smallest tied pair.
-    Linkage rows are elementwise numpy versions of the scalar rules, so every
-    height is bit-identical to a pair-by-pair scan.
+    Why the tie rule survives: each merge picks the first minimum of
+    ``nd`` in id order, the smallest id with the smallest bound, and
+    rescans it first if its ``nn`` is retired. Bounds never exceed the true
+    row minimum, so when an exact row is picked its ``nd`` is the global
+    minimum distance m. Any row with a smaller id that also reaches m would
+    have an ``nd`` of at most m, so it would have been picked (or
+    rescanned) first. The picked row is therefore the smallest id that
+    reaches m, and its ``nn`` the smallest partner id at m: the
+    lexicographically smallest tied pair. Linkage rows are elementwise
+    numpy versions of the scalar rules, so every height is bit-identical to
+    a pair-by-pair scan; a zero height takes its sign from numpy's ``min``
+    over the bounds in slot order, as the reference builds do.
 
-    Working memory is one n x n float64, 8n^2 bytes (82 MB at n=3200), plus
-    a start block of ``_NN_BLOCK_ROWS`` rows and O(n) per merge; the time
-    is O(n^2) plus O(n) per stale rescan.
+    Working memory is one n x n float64, 8n^2 bytes (82 MB at n=3200),
+    plus a start block of ``_NN_BLOCK_ROWS`` rows and O(n) state; a merge
+    is O(n) numpy work, plus O(n) per rescan.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}, expected one of {LINKAGES}")
@@ -160,46 +167,40 @@ def build_dendrogram(matrix: DistanceMatrix, linkage: str = "average",
         raise ValueError("distance matrix contains non-finite entries")
 
     dist = matrix.to_square()
-    ids = np.arange(n)  # cluster id per slot, -1 once retired
-    sizes = [1] * n
-    nd = np.empty(n)
-    nn = np.empty(n, dtype=np.intp)
+    line = np.full(n + 1, math.inf)  # a row in slot order; slot n reads inf
+    slot = np.full(2 * n - 1, n)  # slot per cluster id, n unless live
+    slot[:n] = id_of = np.arange(n)  # id_of: cluster id per slot
+    sizes = [1] * n  # per id
+    nd = np.full(2 * n - 1, math.inf)
+    nn = np.zeros(2 * n - 1, dtype=np.intp)
     for lo in range(0, n, _NN_BLOCK_ROWS):
         hi = min(lo + _NN_BLOCK_ROWS, n)
-        block = np.where(ids > ids[lo:hi, None], dist[lo:hi], math.inf)
+        block = np.where(id_of > id_of[lo:hi, None], dist[lo:hi], math.inf)
         nn[lo:hi] = block.argmin(axis=1)
         nd[lo:hi] = block[np.arange(hi - lo), nn[lo:hi]]
-    stale = np.zeros(n, dtype=bool)
-    live = np.ones(n, dtype=bool)  # ids >= 0, kept rather than recomputed
-    # boolean work rows, reused through out= on every merge
-    tied, closer = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
 
     merges = []
     # overflow to inf is silent, as it is for Python floats
     with np.errstate(over="ignore"):
-        for t in range(n - 1):
+        for c in range(n, 2 * n - 1):  # the id this merge creates
             while True:
-                h = nd.min()
+                a = int(nd[:c].argmin())
+                h = nd[a]
                 if h == math.inf:
                     raise ValueError("every remaining linkage distance "
                                      "overflowed to inf")
-                np.equal(nd, h, out=tied)
-                if np.count_nonzero(tied) == 1:
-                    sa = int(tied.argmax())
-                else:
-                    at = np.flatnonzero(tied)
-                    sa = int(at[np.argmin(ids[at])])
-                if not stale[sa]:
+                if slot[nn[a]] < n:
                     break
-                row = np.where(ids > ids[sa], dist[sa], math.inf)
-                at = np.flatnonzero(row == row.min())
-                nn[sa] = at[np.argmin(ids[at])]
-                nd[sa] = row[nn[sa]]
-                stale[sa] = False
-            sb = int(nn[sa])
-            new_size = sizes[sa] + sizes[sb]
-            merges.append(MergeStep(int(ids[sa]), int(ids[sb]), float(h),
-                                    new_size))
+                line[:n] = dist[slot[a]]
+                row = line[slot[a + 1:c]]
+                j = int(row.argmin())
+                nn[a], nd[a] = a + 1 + j, row[j]
+            if h == 0.0:  # 0.0 and -0.0 tie: the sign min gives in slot order
+                h = nd[id_of].min()
+            b = int(nn[a])
+            sa, sb = slot[a], slot[b]
+            sizes.append(sizes[a] + sizes[b])
+            merges.append(MergeStep(a, b, float(h), sizes[c]))
 
             da, db = dist[sa], dist[sb]
             if linkage == "single":
@@ -207,24 +208,17 @@ def build_dendrogram(matrix: DistanceMatrix, linkage: str = "average",
             elif linkage == "complete":
                 row = np.where(da > db, da, db)
             elif size_weighted:
-                row = (sizes[sa] * da + sizes[sb] * db) / new_size
+                row = (sizes[a] * da + sizes[b] * db) / sizes[c]
             else:
                 row = (da + db) / 2.0
-            dist[sb] = row
-            dist[:, sb] = row
-            ids[sa] = -1
-            ids[sb] = n + t
-            live[sa] = False
-            sizes[sb] = new_size
-            nd[sa] = nd[sb] = math.inf
-            stale |= np.equal(nn, sa, out=closer)
-            stale |= np.equal(nn, sb, out=closer)
-            np.less(row, nd, out=closer)
-            closer &= live
-            closer[sb] = False
-            np.copyto(nd, row, where=closer)
-            np.copyto(nn, sb, where=closer)
-            stale &= ~closer
+            dist[sb] = dist[:, sb] = line[:n] = row
+            slot[a] = slot[b] = n
+            slot[c], id_of[sb] = sb, c
+            nd[a] = nd[b] = math.inf
+            row = line[slot[:c]]  # in id order
+            closer = row < nd[:c]
+            np.copyto(nd[:c], row, where=closer)
+            np.copyto(nn[:c], c, where=closer)
 
     return Dendrogram(n, linkage, tuple(merges), matrix.metric)
 

@@ -63,12 +63,12 @@ def peak_bytes(n: int, k_max: int, method: str) -> int:
     ``_SQUARE_BYTES`` n² for a matrix method and the freed heap glibc keeps
     resident (it trims only past twice its mmap threshold, which rises to
     the largest block freed, an 8n² square, up to 32 MiB), or 512 n k_max
-    bytes for a vector method (the mixture's (k, n, 24) E-step pass, live
-    and freed, and its (n, k) arrays)."""
+    bytes for gmm (the mixture's (k, n, 24) E-step pass, live and freed,
+    and its (n, k) arrays)."""
     fixed = (30 if method == "ahc" else 38) * 2**20 + 4096 * n
     if method in MATRIX_METHODS:
         return fixed + _SQUARE_BYTES * n * n + min(16 * n * n, 64 * 2**20)
-    return fixed + 512 * n * k_max
+    return fixed + (512 * n * k_max if method == "gmm" else 0)
 
 
 class DegenerateClusteringError(ValueError):
@@ -209,7 +209,7 @@ def _fitter(dataset, spec: MethodSpec, k_min: int, k_max: int, matrix):
         return lambda k: kmeans(dataset, spec.options(k), init=init)
     if matrix is not None:
         matrix = check_matrix(matrix, len(dataset), spec.metric)
-    if spec.method == "kmedoids" and dataset.normalization == "raw":
+    if not _builds_matrix(dataset, spec):
         return lambda k: kmedoids(dataset, spec.options(k), spec.metric, matrix)
     if matrix is None:
         matrix = pairwise_matrix(dataset, spec.metric)
@@ -218,6 +218,13 @@ def _fitter(dataset, spec: MethodSpec, k_min: int, k_max: int, matrix):
         return _cutter(tree, k_min, k_max, matrix)
     square, memo = matrix.to_square(), {}
     return lambda k: _kmedoids_fit(square, matrix.metric, spec.options(k), memo)
+
+
+def _builds_matrix(dataset, spec: MethodSpec) -> bool:
+    """Whether ``_fitter`` computes a matrix for ``spec`` when given none:
+    ahc does, and kmedoids unless the dataset is raw, which it refuses."""
+    return spec.method == "ahc" or (spec.method == "kmedoids"
+                                    and dataset.normalization != "raw")
 
 
 def fit(dataset, spec: MethodSpec, k: int, matrix=None) -> ClusteringResult:
@@ -397,14 +404,32 @@ def load_sweep(path) -> SweepReport:
 def sweep_table(dataset, specs, k_min: int, k_max: int):
     """Run one sweep per spec and tabulate them side by side.
 
-    Returns (names, rows, reports): column names from each spec, then one
-    row per k of [k, score_1, ..., score_m] with None where a fit failed.
+    The specs run grouped by distance (``same_distance``), vector methods
+    in a group of their own. A group that needs a matrix builds it once,
+    passes it to every ``sweep`` in the group and frees it before the next
+    group, so one matrix is alive at a time; every report has the bits of
+    its spec's own ``sweep``.
+
+    Returns (names, rows, reports) in the caller's order: column names from
+    each spec, then one row per k of [k, score_1, ..., score_m] with None
+    where a fit failed.
     """
     specs = tuple(specs)
     names = [s.name() for s in specs]
     if len(set(names)) != len(names):
         raise ValueError(f"method names must be unique, got {names}")
-    reports = [sweep(dataset, s, k_min, k_max) for s in specs]
+    check_k(k_min, k_max, len(dataset))
+    groups = {}  # distance label (None for a vector method) -> spec indices
+    for i, s in enumerate(specs):
+        groups.setdefault(s.metric.label() if s.metric else None, []).append(i)
+    reports = [None] * len(specs)
+    for group in groups.values():
+        matrix = (pairwise_matrix(dataset, specs[group[0]].metric)
+                  if any(_builds_matrix(dataset, specs[i]) for i in group)
+                  else None)
+        for i in group:
+            reports[i] = sweep(dataset, specs[i], k_min, k_max, matrix)
+        del matrix  # before the next group builds its own
     by_k = [dict(r.rows) for r in reports]
     rows = []
     for k in range(k_min, k_max + 1):

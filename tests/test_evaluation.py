@@ -2,6 +2,7 @@ import json
 import math
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -691,6 +692,52 @@ class TestSweepTable:
         assert [r[0] for r in rows] == [2, 3, 4]
         assert all(len(r) == 3 for r in rows)
         assert reports[0].rows[0][1] == rows[0][1]
+
+    def test_one_matrix_per_distance(self, noisy_dataset, monkeypatch):
+        # three distances among six matrix specs: one pairwise_matrix call
+        # each, every earlier matrix freed before the next is built, and
+        # every report the bits of its spec's own sweep
+        ds, _ = noisy_dataset
+        specs = [MethodSpec("ahc"), MethodSpec("kmeans", restarts=2),
+                 MethodSpec("kmedoids", metric=MetricConfig("euclidean"),
+                            restarts=2),
+                 MethodSpec("ahc", linkage="single"),
+                 MethodSpec("ahc", metric=MetricConfig("dtw", 3),
+                            linkage="complete"),
+                 MethodSpec("kmedoids", restarts=2),
+                 MethodSpec("ahc", metric=MetricConfig("euclidean", 3))]
+        expect = [sweep(ds, s, 2, 5) for s in specs]
+        built = []
+
+        def counted(dataset, metric):
+            assert all(ref() is None for ref in built)
+            matrix = pairwise_matrix(dataset, metric)
+            built.append(weakref.ref(matrix))
+            return matrix
+
+        monkeypatch.setattr(ev, "pairwise_matrix", counted)
+        names, rows, reports = sweep_table(ds, specs, 2, 5)
+        assert len(built) == 3
+        assert names == [s.name() for s in specs]
+        assert reports == expect
+        assert rows == [[k] + [dict(r.rows)[k] for r in expect]
+                        for k in range(2, 6)]
+
+    def test_raw_kmedoids_builds_no_matrix(self, monkeypatch):
+        # kmedoids refuses a raw dataset at every k, so it builds no matrix
+        # unless an ahc spec of its distance needs one
+        ds = Dataset(tuple(make_curve(np.arange(24.0) * (i + 1))
+                           for i in range(5)), "raw")
+        calls = []
+        monkeypatch.setattr(ev, "pairwise_matrix",
+                            lambda *args: calls.append(args) or pairwise_matrix(*args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnnormalizedDataWarning)
+            _, rows, reports = sweep_table(ds, [MethodSpec("kmedoids")], 2, 3)
+            assert calls == [] and rows == [[2, None], [3, None]]
+            assert all("normalized" in line for line in reports[0].diagnostics)
+            sweep_table(ds, [MethodSpec("kmedoids"), MethodSpec("ahc")], 2, 3)
+            assert len(calls) == 1
 
     def test_duplicate_names_rejected(self, noisy_dataset):
         ds, _ = noisy_dataset

@@ -588,7 +588,8 @@ class TestCliMemoryAdmission:
 
     @pytest.mark.skipif(not hasattr(resource, "RUSAGE_CHILDREN"),
                         reason="needs resource.RUSAGE_CHILDREN")
-    @pytest.mark.parametrize("method", ["ahc", "kmedoids", "kmeanspp", "gmm"])
+    @pytest.mark.parametrize("method", ["ahc", "kmedoids", "kmeans", "kmeanspp",
+                                        "gmm"])
     def test_estimate_covers_a_real_sweep(self, tmp_path, method):
         """``peak_bytes`` is at least the resident peak of a real k=2..8
         sweep of 1,000 curves, euclidean for a matrix method. The sweep runs
