@@ -240,10 +240,8 @@ def cut_range(dendrogram: Dendrogram, k_min: int, k_max: int,
     was built from (same n and metric, by ``check_matrix``), through one memo
     for the whole range: going from k to k+1 splits one cluster in two, so
     each of the 2 * k_max - k_min member sets is summed once. Each result
-    has the bits of a fresh cut at its k. Walking k upward sums the
-    largest clusters first; the smaller member-row gathers reuse their
-    memory. The pass is ``_cutter``'s, which ``cut`` and an ahc ``sweep``
-    also read, one k at a time.
+    has the bits of a fresh cut at its k. The pass is ``_cutter``'s, which
+    ``cut`` and an ahc ``sweep`` also read, one k at a time.
     """
     cut_k = _cutter(dendrogram, k_min, k_max, matrix)
     return [cut_k(k) for k in range(k_min, k_max + 1)]

@@ -171,11 +171,11 @@ def _k_range(args) -> tuple:
 
 
 def _admit(args, spec: MethodSpec, n: int) -> None:
-    """Refuse a run whose ``peak_bytes`` estimate is above the soft
-    address space limit (``ulimit -v``), if there is one. The estimate
-    counts resident bytes and the limit mapped ones, which are more, so
-    the check errs toward admitting a run; a cgroup memory limit is not
-    seen at all."""
+    """Refuse a run whose ``peak_bytes`` estimate, the arrays it holds at
+    its peak, is above the soft address space limit (``ulimit -v``), if
+    there is one. The limit counts mapped bytes, which are more than
+    resident ones, so the check errs toward admitting a run; a cgroup
+    memory limit is not seen at all."""
     need = peak_bytes(n, _k_range(args)[1], spec.method)
     limit, _ = resource.getrlimit(resource.RLIMIT_AS)
     if limit != resource.RLIM_INFINITY and limit < need:

@@ -56,10 +56,10 @@ class UnnormalizedDataWarning(UserWarning):
 class MetricConfig:
     """Which distance to compute, with its parameters.
 
-    ``window`` only matters for dtw; it is kept in the config regardless so
-    a matrix built under one config can reproduce itself from its header
-    alone. The window is an int, not a bool or a float, capped at 24, the
-    curve length, beyond which the band no longer constrains anything.
+    ``window`` is an int, not a bool or a float, capped at 24, the curve
+    length, beyond which the band no longer constrains anything. It only
+    matters for dtw: any other kind sets it to the default 4 once checked,
+    so configs are equal exactly when they compute the same distance.
     """
 
     kind: str = "dtw"
@@ -75,6 +75,8 @@ class MetricConfig:
             raise ValueError(
                 f"window must be in [1, {HOURS_PER_DAY}], got {self.window!r}"
             )
+        if self.kind != "dtw":
+            object.__setattr__(self, "window", MetricConfig.window)
 
     def distance(self, x, y) -> float:
         if self.kind == "dtw":
@@ -86,11 +88,6 @@ class MetricConfig:
         if self.kind == "dtw":
             return f"dtw(w={self.window})"
         return self.kind
-
-    def same_distance(self, other: MetricConfig) -> bool:
-        """Whether both configs compute the same distance: the same kind
-        and, for dtw, the same window. Any other kind ignores its window."""
-        return self.label() == other.label()
 
 
 def _validate_series(x, name: str) -> list:
@@ -354,10 +351,14 @@ def check_matrix(matrix: DistanceMatrix, n: int,
     ValueError naming both sides."""
     if matrix.n != n:
         raise ValueError(f"matrix is for {matrix.n} curves, dataset has {n}")
-    if metric is not None and not matrix.metric.same_distance(metric):
+    if metric is not None and matrix.metric != metric:
         raise ValueError(f"matrix was built with {matrix.metric.label()}, "
                          f"run asks for {metric.label()}")
     return matrix
+
+
+#: The most bytes of member rows ``medoid`` gathers at once.
+_MEDOID_BYTES = 4 * 2**20
 
 
 def medoid(square: np.ndarray, members: np.ndarray) -> tuple[int, np.ndarray]:
@@ -366,12 +367,16 @@ def medoid(square: np.ndarray, members: np.ndarray) -> tuple[int, np.ndarray]:
     ``square`` is symmetric with a zero diagonal and ``members`` holds the
     cluster's indices in ascending order. The medoid is the member with the
     smallest summed distance to its co-members, ties to the lowest index.
-    Those sums are column sums of the gathered member rows, which numpy
-    adds one row at a time in member order: the bits of a left-to-right
-    loop (a row sum would add pairwise and round differently).
+    Those sums are column sums of the member rows, added one row at a time
+    in member order: the bits of a left-to-right loop (a row sum would add
+    pairwise and round differently). numpy sums a first gather of up to
+    ``_MEDOID_BYTES`` in that order; the rest are added in place, row by row.
     """
-    sums = square[members].sum(axis=0)[members]
-    best = int(members[np.argmin(sums)])
+    rows = max(1, _MEDOID_BYTES // (8 * len(square)))
+    sums = square[members[:rows]].sum(axis=0)
+    for i in members[rows:]:
+        sums += square[i]
+    best = int(members[np.argmin(sums[members])])
     return best, square[members, best]
 
 

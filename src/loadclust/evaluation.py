@@ -31,10 +31,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ahc import LINKAGES, _cutter, build_dendrogram
+from .ahc import _NN_BLOCK_ROWS, LINKAGES, _cutter, build_dendrogram
 from .curves import check_k, check_types
-from .distance import (MetricConfig, UnnormalizedDataWarning, check_matrix,
-                       paired_distances, pairwise_matrix, total_distance)
+from .distance import (_MEDOID_BYTES, MetricConfig, UnnormalizedDataWarning,
+                       check_matrix, paired_distances, pairwise_matrix,
+                       total_distance)
 from .io import naming, read_csv, read_sidecar, sidecar_path, write_csv
 from .partitional import FitError, _kmedoids_fit, gmm_em, kmeans, kmedoids
 from .results import MEDOID_INDEX, ClusteringResult, FitOptions, FitParams
@@ -48,27 +49,23 @@ EVALUATION_METRIC = "euclidean"
 
 SWEEP_HEADER = ["k", "wcbcr"]
 
-#: Peak bytes per n² of a matrix method: the 4n² condensed matrix, then
-#: ahc's 8n² build square, or the 8n² square a cut or a k-medoids fit reads
-#: plus the member rows ``cluster_medoids`` gathers from it (under 8n²).
-_SQUARE_BYTES = 20
-
 
 def peak_bytes(n: int, k_max: int, method: str) -> int:
     """README's bound on the peak resident memory of a run of ``method``
-    over ``n`` curves at k up to ``k_max``: about 30 MB for the interpreter
-    and numpy, 8 MiB more for every method but ahc (its first draw loads
-    ``numpy.random``, 5.7 MiB, and the mixture's BLAS and LAPACK calls
-    add more), 4 KB per curve for the parsed and normalized curves, plus
-    ``_SQUARE_BYTES`` n² for a matrix method and the freed heap glibc keeps
-    resident (it trims only past twice its mmap threshold, which rises to
-    the largest block freed, an 8n² square, up to 32 MiB), or 512 n k_max
-    bytes for gmm (the mixture's (k, n, 24) E-step pass, live and freed,
-    and its (n, k) arrays)."""
+    over ``n`` curves at k up to ``k_max``, by the arrays it holds: about
+    30 MB for the interpreter and numpy, 8 MiB more for every method but
+    ahc (``numpy.random``, 5.7 MiB, and the mixture's BLAS and LAPACK
+    calls), and 4 KB per curve for the parsed and normalized curves. A
+    matrix method adds 12n², its 4n² condensed matrix and one 8n² square,
+    and ``distance._MEDOID_BYTES`` of member rows; ahc adds its build's
+    start block, ``ahc._NN_BLOCK_ROWS`` rows of 17 bytes per curve.
+    kmedoids adds 512 n k_max for its medoid memo (about 3.4 KB per curve
+    for k = 2..8 at 10 restarts), gmm for its (k, n, 24) E-step pass."""
+    matrix = 12 * n * n + _MEDOID_BYTES if method in MATRIX_METHODS else 0
+    start = 17 * _NN_BLOCK_ROWS * n if method == "ahc" else 0
+    per_k = 512 * n * k_max if method in ("kmedoids", "gmm") else 0
     fixed = (30 if method == "ahc" else 38) * 2**20 + 4096 * n
-    if method in MATRIX_METHODS:
-        return fixed + _SQUARE_BYTES * n * n + min(16 * n * n, 64 * 2**20)
-    return fixed + (512 * n * k_max if method == "gmm" else 0)
+    return fixed + matrix + start + per_k
 
 
 class DegenerateClusteringError(ValueError):
@@ -91,7 +88,7 @@ def prototypes(result: ClusteringResult, dataset) -> tuple:
             f"dataset has {len(dataset)}"
         )
     if result.prototype_kind == MEDOID_INDEX:
-        return tuple(dataset[p].values for p in result.prototypes)
+        return tuple(map(tuple, dataset.to_matrix()[list(result.prototypes)].tolist()))
     return result.prototypes
 
 
@@ -404,8 +401,8 @@ def load_sweep(path) -> SweepReport:
 def sweep_table(dataset, specs, k_min: int, k_max: int):
     """Run one sweep per spec and tabulate them side by side.
 
-    The specs run grouped by distance (``same_distance``), vector methods
-    in a group of their own. A group that needs a matrix builds it once,
+    The specs run grouped by ``MetricConfig``, vector methods in a group
+    of their own. A group that needs a matrix builds it once,
     passes it to every ``sweep`` in the group and frees it before the next
     group, so one matrix is alive at a time; every report has the bits of
     its spec's own ``sweep``.
@@ -419,9 +416,9 @@ def sweep_table(dataset, specs, k_min: int, k_max: int):
     if len(set(names)) != len(names):
         raise ValueError(f"method names must be unique, got {names}")
     check_k(k_min, k_max, len(dataset))
-    groups = {}  # distance label (None for a vector method) -> spec indices
+    groups = {}  # metric (None for a vector method) -> spec indices
     for i, s in enumerate(specs):
-        groups.setdefault(s.metric.label() if s.metric else None, []).append(i)
+        groups.setdefault(s.metric, []).append(i)
     reports = [None] * len(specs)
     for group in groups.values():
         matrix = (pairwise_matrix(dataset, specs[group[0]].metric)

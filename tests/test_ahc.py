@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 
 from loadclust import (Dendrogram, DistanceMatrix, MergeStep, MetricConfig,
                        build_dendrogram, cut, result_to_json)
+from loadclust import distance
 from loadclust.ahc import LINKAGES, cut_range
 from loadclust.distance import cluster_medoids
 
@@ -435,6 +436,29 @@ class TestCutAgainstOracle:
         tied = square_to_matrix(random_square(rng, 9, integer=True))
         for size in range(1, 10):
             self.check_subset(tied, range(size))
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_member_rows_summed_in_blocks(self, monkeypatch, noisy_matrix,
+                                          rows):
+        """With the gather of ``distance.medoid`` cut to a few rows, a
+        cluster's sums are carried across rows: every cut keeps the medoids
+        and objective bits of the unpatched run and of the oracle, on float
+        noise, integer ties and order-sensitive 2**53 entries."""
+        rng = np.random.default_rng(3)
+        matrices = [noisy_matrix,
+                    square_to_matrix(random_square(rng, 40, integer=True)),
+                    *(square_to_matrix(absorbing_square(rng, 30))
+                      for _ in range(30))]
+        for m in matrices:
+            trees = [build_dendrogram(m, linkage) for linkage in LINKAGES]
+            want = [cut_range(d, 1, m.n, m) for d in trees]
+            with monkeypatch.context() as patch:
+                patch.setattr(distance, "_MEDOID_BYTES", 8 * rows * m.n)
+                got = [cut_range(d, 1, m.n, m) for d in trees]
+            for r, e in zip(sum(got, []), sum(want, [])):
+                protos, objective = cut_oracle(r.assignments, r.k, m)
+                assert r.prototypes == e.prototypes == protos
+                assert r.objective.hex() == e.objective.hex() == objective.hex()
 
 
 BUILD_CONFIGS = [("single", False), ("complete", False), ("average", False),

@@ -534,8 +534,8 @@ class TestCliMemoryAdmission:
                             lambda n, k_max, method: peak_bytes(12000, k_max,
                                                                 method))
 
-    @pytest.mark.parametrize("method, need", [("ahc", 2887),
-                                              ("kmedoids", 2895)])
+    @pytest.mark.parametrize("method, need", [("ahc", 1779),
+                                              ("kmedoids", 1760)])
     def test_matrix_run_above_the_limit_exits_2_writing_nothing(
             self, tmp_path, synth_file, as_if_12000_curves, monkeypatch,
             method, need, capsys):
@@ -588,17 +588,22 @@ class TestCliMemoryAdmission:
 
     @pytest.mark.skipif(not hasattr(resource, "RUSAGE_CHILDREN"),
                         reason="needs resource.RUSAGE_CHILDREN")
-    @pytest.mark.parametrize("method", ["ahc", "kmedoids", "kmeans", "kmeanspp",
-                                        "gmm"])
-    def test_estimate_covers_a_real_sweep(self, tmp_path, method):
+    @pytest.mark.parametrize("method, n", [
+        *((m, 1000) for m in ("ahc", "kmedoids", "kmeans", "kmeanspp", "gmm")),
+        ("ahc", 2000), ("kmedoids", 2000),
+    ], ids=["ahc", "kmedoids", "kmeans", "kmeanspp", "gmm", "ahc-2000",
+            "kmedoids-2000"])
+    def test_estimate_covers_a_real_sweep(self, tmp_path, method, n):
         """``peak_bytes`` is at least the resident peak of a real k=2..8
-        sweep of 1,000 curves, euclidean for a matrix method. The sweep runs
-        in a grandchild, so the child's RUSAGE_CHILDREN peak is the sweep's
+        sweep of 1,000 curves, euclidean for a matrix method, and for a
+        matrix method of 2,000 curves too, whose k=2 clusters are too large
+        for one gather of ``distance.medoid``. The sweep runs in a
+        grandchild, so the child's RUSAGE_CHILDREN peak is the sweep's
         alone."""
         curves = tmp_path / "curves.csv"
         assert run_cli("synth", "--output", curves, "--k-true", 4,
-                       "--per-archetype", 250, "--noise", 0.15, "--shift", 2,
-                       "--seed", 1) == 0
+                       "--per-archetype", n // 4, "--noise", 0.15,
+                       "--shift", 2, "--seed", 1) == 0
         argv = [sys.executable, "-m", "loadclust.cli", "sweep", "--input",
                 str(curves), "--output", str(tmp_path / "sweep.csv"),
                 "--method", method, "--k-min", "2", "--k-max", "8"]
@@ -614,7 +619,7 @@ class TestCliMemoryAdmission:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         rss = int(proc.stdout) * (1 if sys.platform == "darwin" else 1024)
-        assert rss <= peak_bytes(1000, 8, method)
+        assert rss <= peak_bytes(n, 8, method)
 
 
 class TestCliSweepAndElbow:
@@ -898,6 +903,33 @@ class TestCliMutatedArtifacts:
             lambda out: run_cli("sweep", "--input", synth_file,
                                 "--output", out / "s.csv", "--k-min", 2,
                                 "--k-max", 4, "--load-matrix", cache), how)
+
+    @pytest.mark.parametrize("method", MATRIX_METHODS)
+    def test_euclidean_cache_of_another_window(self, tmp_path, synth_file,
+                                               method, capsys):
+        """A euclidean cache whose header says window 7, not 4, holds the
+        same distances: ``cluster --load-matrix`` writes a fresh run's
+        bytes, window 4 in the result included."""
+        cache = tmp_path / "e.dmx"
+        flags = ("--k", 3, "--method", method, "--distance", "euclidean")
+        assert run_cli("cluster", "--input", synth_file, "--output",
+                       tmp_path / "r.json", *flags, "--save-matrix",
+                       cache) == 0
+        head, body = cache.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        assert header["window"] == 4
+        cache.write_bytes(json.dumps({**header, "window": 7}).encode()
+                          + b"\n" + body)
+        capsys.readouterr()
+
+        def run(*cache_flags):
+            return self.outputs(lambda out: run_cli(
+                "cluster", "--input", synth_file, "--output", out / "r.json",
+                *flags, *cache_flags), tmp_path, capsys)
+
+        fresh = run()
+        assert fresh[0] == 0, fresh[1]
+        assert run("--load-matrix", cache) == fresh
 
     @pytest.mark.parametrize("how", MUTATIONS)
     def test_curves_manifest(self, tmp_path, synth_file, how, capsys):

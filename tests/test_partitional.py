@@ -24,7 +24,8 @@ from loadclust.results import result_to_json
 
 from conftest import (best_match_accuracy, embed_1d, gmm_single_oracle,
                       kmeans_single_oracle, kmedoids_single_oracle,
-                      log_densities_oracle, make_curve, random_square)
+                      log_densities_oracle, make_curve, random_square,
+                      square_to_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -453,6 +454,29 @@ class TestKmedoidsAgainstOracle:
     def test_euclidean_matrix(self, harder_dataset):
         ds, _ = harder_dataset
         self.check(pairwise_matrix(ds, MetricConfig("euclidean")))
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_member_rows_summed_in_blocks(self, monkeypatch, noisy_matrix,
+                                          rows):
+        """With the gather of ``distance.medoid`` cut to a few rows, a
+        cluster's sums are carried across rows: every restart keeps the
+        unpatched run's labels, medoids and objective bits, and ``check``
+        still holds against the oracle, on float noise and integer ties."""
+        from loadclust import distance
+        tied = random_square(np.random.default_rng(14), 40, integer=True)
+        runs = [(k, seed) for k in range(2, 9) for seed in range(10)]
+        for S in (noisy_matrix.to_square(), tied):
+            want = [_kmedoids_single(S, k, seed, 300, {}) for k, seed in runs]
+            with monkeypatch.context() as patch:
+                patch.setattr(distance, "_MEDOID_BYTES", 8 * rows * len(S))
+                for (k, seed), expect in zip(runs, want):
+                    got = _kmedoids_single(S, k, seed, 300, {})
+                    assert np.array_equal(got[0], expect[0])
+                    assert np.array_equal(got[1], expect[1])
+                    assert ([t.hex() for t in got[2]]
+                            == [t.hex() for t in expect[2]])
+                    assert got[3:] == expect[3:]
+                self.check(square_to_matrix(S))
 
 
 class TestKmedoidsMemo:
