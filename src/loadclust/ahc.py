@@ -39,14 +39,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import check_k
-from .distance import DistanceMatrix, MetricConfig, check_matrix, cluster_medoids
+from .distance import (DistanceMatrix, MetricConfig, _block_rows, check_matrix,
+                       cluster_medoids)
 from .results import MEDOID_INDEX, ClusteringResult
 
 LINKAGES = ("single", "complete", "average")
-
-#: Rows per block of the build's nearest-neighbour start: a block's
-#: temporaries take about 17 * _NN_BLOCK_ROWS * n bytes, never n x n.
-_NN_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -80,18 +77,22 @@ class Dendrogram:
 
     ``merges`` has exactly n_leaves - 1 entries with non-decreasing heights,
     and every cluster id is consumed at most once. ``metric`` records which
-    distance the hierarchy was built under, so cuts can state their
-    provenance.
+    distance the hierarchy was built under and ``size_weighted`` whether
+    its average rule was the member-count-weighted mean, so cuts can state
+    their provenance.
     """
 
     n_leaves: int
     linkage: str
     merges: tuple
     metric: MetricConfig = field(default_factory=MetricConfig)
+    size_weighted: bool = False
 
     def __post_init__(self):
         if self.linkage not in LINKAGES:
             raise ValueError(f"unknown linkage {self.linkage!r}")
+        if self.size_weighted and self.linkage != "average":
+            raise ValueError("size_weighted only applies to average linkage")
         merges = tuple(self.merges)
         if len(merges) != self.n_leaves - 1:
             raise ValueError(
@@ -121,7 +122,8 @@ def build_dendrogram(matrix: DistanceMatrix, linkage: str = "average",
     """Build the full merge hierarchy for a distance matrix.
 
     ``size_weighted`` switches the average rule from the two-term mean to
-    the member-count-weighted mean and is ignored by the other linkages.
+    the member-count-weighted mean; the other linkages ignore it, and their
+    trees record it as False.
 
     Working state: slot ``s`` of an n x n working matrix holds the
     distances of cluster ``id_of[s]``; the rest is kept by cluster id,
@@ -154,9 +156,9 @@ def build_dendrogram(matrix: DistanceMatrix, linkage: str = "average",
     a pair-by-pair scan; a zero height takes its sign from numpy's ``min``
     over the bounds in slot order, as the reference builds do.
 
-    Working memory is one n x n float64, 8n^2 bytes (82 MB at n=3200),
-    plus a start block of ``_NN_BLOCK_ROWS`` rows and O(n) state; a merge
-    is O(n) numpy work, plus O(n) per rescan.
+    Working memory is one n x n float64 (8n^2 bytes), O(n) state and start
+    blocks of 17 bytes a cell (two masked copies and a mask) within the
+    scratch budget; a merge is O(n) numpy work, plus O(n) per rescan.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}, expected one of {LINKAGES}")
@@ -173,8 +175,9 @@ def build_dendrogram(matrix: DistanceMatrix, linkage: str = "average",
     sizes = [1] * n  # per id
     nd = np.full(2 * n - 1, math.inf)
     nn = np.zeros(2 * n - 1, dtype=np.intp)
-    for lo in range(0, n, _NN_BLOCK_ROWS):
-        hi = min(lo + _NN_BLOCK_ROWS, n)
+    rows = _block_rows(n, 17)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
         block = np.where(id_of > id_of[lo:hi, None], dist[lo:hi], math.inf)
         nn[lo:hi] = block.argmin(axis=1)
         nd[lo:hi] = block[np.arange(hi - lo), nn[lo:hi]]
@@ -220,12 +223,13 @@ def build_dendrogram(matrix: DistanceMatrix, linkage: str = "average",
             np.copyto(nd[:c], row, where=closer)
             np.copyto(nn[:c], c, where=closer)
 
-    return Dendrogram(n, linkage, tuple(merges), matrix.metric)
+    return Dendrogram(n, linkage, tuple(merges), matrix.metric,
+                      size_weighted and linkage == "average")
 
 
 def cut(dendrogram: Dendrogram, k: int, matrix: DistanceMatrix) -> ClusteringResult:
     """Flat k-clustering read off the hierarchy: ``cut_range`` at one k."""
-    return _cutter(dendrogram, k, k, matrix)(k)
+    return cutter(dendrogram, k, k, matrix)(k)
 
 
 def cut_range(dendrogram: Dendrogram, k_min: int, k_max: int,
@@ -240,15 +244,15 @@ def cut_range(dendrogram: Dendrogram, k_min: int, k_max: int,
     was built from (same n and metric, by ``check_matrix``), through one memo
     for the whole range: going from k to k+1 splits one cluster in two, so
     each of the 2 * k_max - k_min member sets is summed once. Each result
-    has the bits of a fresh cut at its k. The pass is ``_cutter``'s, which
+    has the bits of a fresh cut at its k. The pass is ``cutter``'s, which
     ``cut`` and an ahc ``sweep`` also read, one k at a time.
     """
-    cut_k = _cutter(dendrogram, k_min, k_max, matrix)
+    cut_k = cutter(dendrogram, k_min, k_max, matrix)
     return [cut_k(k) for k in range(k_min, k_max + 1)]
 
 
-def _cutter(dendrogram: Dendrogram, k_min: int, k_max: int,
-            matrix: DistanceMatrix):
+def cutter(dendrogram: Dendrogram, k_min: int, k_max: int,
+           matrix: DistanceMatrix):
     """``cut_k(k)``, the cut at any k in [k_min, k_max], built on demand
     from one walk of the merges, one square of ``matrix`` and one medoid
     memo, which ``cut_k`` keeps alive. A k whose result cannot be built
@@ -276,6 +280,7 @@ def _cutter(dendrogram: Dendrogram, k_min: int, k_max: int,
             method="ahc", k=k, assignments=labelings[k], prototypes=medoids,
             prototype_kind=MEDOID_INDEX, objective=objective,
             iterations=len(dendrogram.merges), converged=True, seed=None,
-            metric=dendrogram.metric, linkage=dendrogram.linkage)
+            metric=dendrogram.metric, linkage=dendrogram.linkage,
+            size_weighted=dendrogram.size_weighted)
 
     return cut_k

@@ -171,12 +171,12 @@ def _k_range(args) -> tuple:
 
 
 def _admit(args, spec: MethodSpec, n: int) -> None:
-    """Refuse a run whose ``peak_bytes`` estimate, the arrays it holds at
-    its peak, is above the soft address space limit (``ulimit -v``), if
-    there is one. The limit counts mapped bytes, which are more than
-    resident ones, so the check errs toward admitting a run; a cgroup
-    memory limit is not seen at all."""
-    need = peak_bytes(n, _k_range(args)[1], spec.method)
+    """Refuse a run of ``spec`` whose ``peak_bytes`` estimate, the arrays
+    it holds at its peak (a k-medoids memo by its restarts), is above the
+    soft address space limit (``ulimit -v``), if there is one. The limit
+    counts mapped bytes, which are more than resident ones, so the check
+    errs toward admitting a run; a cgroup memory limit is not seen at all."""
+    need = peak_bytes(n, _k_range(args)[1], spec)
     limit, _ = resource.getrlimit(resource.RLIMIT_AS)
     if limit != resource.RLIM_INFINITY and limit < need:
         raise ConfigError(

@@ -357,8 +357,13 @@ def check_matrix(matrix: DistanceMatrix, n: int,
     return matrix
 
 
-#: The most bytes of member rows ``medoid`` gathers at once.
-_MEDOID_BYTES = 4 * 2**20
+#: The bytes a matrix run holds beside its matrix and one square, at most.
+_SCRATCH_BYTES = 4 * 2**20
+
+
+def _block_rows(n: int, bytes_per_cell: int) -> int:
+    """Rows of n cells, ``bytes_per_cell`` each, in ``_SCRATCH_BYTES``; >= 1."""
+    return max(1, _SCRATCH_BYTES // (bytes_per_cell * n))
 
 
 def medoid(square: np.ndarray, members: np.ndarray) -> tuple[int, np.ndarray]:
@@ -369,10 +374,10 @@ def medoid(square: np.ndarray, members: np.ndarray) -> tuple[int, np.ndarray]:
     smallest summed distance to its co-members, ties to the lowest index.
     Those sums are column sums of the member rows, added one row at a time
     in member order: the bits of a left-to-right loop (a row sum would add
-    pairwise and round differently). numpy sums a first gather of up to
-    ``_MEDOID_BYTES`` in that order; the rest are added in place, row by row.
+    pairwise and round differently). numpy sums a first gather of
+    ``_block_rows(n, 8)`` rows in that order, the rest in place, one by one.
     """
-    rows = max(1, _MEDOID_BYTES // (8 * len(square)))
+    rows = _block_rows(len(square), 8)
     sums = square[members[:rows]].sum(axis=0)
     for i in members[rows:]:
         sums += square[i]

@@ -31,9 +31,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ahc import _NN_BLOCK_ROWS, LINKAGES, _cutter, build_dendrogram
+from .ahc import LINKAGES, build_dendrogram, cutter
 from .curves import check_k, check_types
-from .distance import (_MEDOID_BYTES, MetricConfig, UnnormalizedDataWarning,
+from .distance import (_SCRATCH_BYTES, MetricConfig, UnnormalizedDataWarning,
                        check_matrix, paired_distances, pairwise_matrix,
                        total_distance)
 from .io import naming, read_csv, read_sidecar, sidecar_path, write_csv
@@ -50,22 +50,20 @@ EVALUATION_METRIC = "euclidean"
 SWEEP_HEADER = ["k", "wcbcr"]
 
 
-def peak_bytes(n: int, k_max: int, method: str) -> int:
-    """README's bound on the peak resident memory of a run of ``method``
+def peak_bytes(n: int, k_max: int, spec: MethodSpec) -> int:
+    """README's bound on the peak resident memory of a run of ``spec``
     over ``n`` curves at k up to ``k_max``, by the arrays it holds: about
     30 MB for the interpreter and numpy, 8 MiB more for every method but
     ahc (``numpy.random``, 5.7 MiB, and the mixture's BLAS and LAPACK
-    calls), and 4 KB per curve for the parsed and normalized curves. A
-    matrix method adds 12n², its 4n² condensed matrix and one 8n² square,
-    and ``distance._MEDOID_BYTES`` of member rows; ahc adds its build's
-    start block, ``ahc._NN_BLOCK_ROWS`` rows of 17 bytes per curve.
-    kmedoids adds 512 n k_max for its medoid memo (about 3.4 KB per curve
-    for k = 2..8 at 10 restarts), gmm for its (k, n, 24) E-step pass."""
-    matrix = 12 * n * n + _MEDOID_BYTES if method in MATRIX_METHODS else 0
-    start = 17 * _NN_BLOCK_ROWS * n if method == "ahc" else 0
-    per_k = 512 * n * k_max if method in ("kmedoids", "gmm") else 0
-    fixed = (30 if method == "ahc" else 38) * 2**20 + 4096 * n
-    return fixed + matrix + start + per_k
+    calls), and 4 KB per curve for the curves. A matrix method adds 12n²,
+    its 4n² condensed matrix and one 8n² square, and the scratch budget
+    ``distance._SCRATCH_BYTES``; kmedoids adds 64 n k_max per restart for
+    its medoid memo (16 bytes a member of a few sets per restart and k),
+    gmm 512 n k_max for its (k, n, 24) E-step pass."""
+    matrix = 12 * n * n + _SCRATCH_BYTES if spec.method in MATRIX_METHODS else 0
+    per_k = {"kmedoids": 64 * spec.restarts, "gmm": 512}.get(spec.method, 0)
+    fixed = (30 if spec.method == "ahc" else 38) * 2**20 + 4096 * n
+    return fixed + matrix + per_k * n * k_max
 
 
 class DegenerateClusteringError(ValueError):
@@ -191,7 +189,7 @@ def _fitter(dataset, spec: MethodSpec, k_min: int, k_max: int, matrix):
     A vector method refuses a ``matrix`` and calls ``kmeans`` or ``gmm_em``
     at each k. A matrix method checks the caller's matrix (``check_matrix``)
     or builds one (``pairwise_matrix``), once; ahc then builds its tree and
-    cuts each k through one ``ahc._cutter``, and kmedoids squares the matrix
+    cuts each k through one ``ahc.cutter``, and kmedoids squares the matrix
     and fits each k through ``_kmedoids_fit`` with one medoid memo (member
     set -> medoid, valid at any k), both freed with ``fit_k``. On a raw
     dataset kmedoids computes no matrix: ``kmedoids`` refuses raw data at
@@ -212,7 +210,7 @@ def _fitter(dataset, spec: MethodSpec, k_min: int, k_max: int, matrix):
         matrix = pairwise_matrix(dataset, spec.metric)
     if spec.method == "ahc":
         tree = build_dendrogram(matrix, spec.linkage, spec.size_weighted)
-        return _cutter(tree, k_min, k_max, matrix)
+        return cutter(tree, k_min, k_max, matrix)
     square, memo = matrix.to_square(), {}
     return lambda k: _kmedoids_fit(square, matrix.metric, spec.options(k), memo)
 

@@ -59,7 +59,8 @@ def _checked_matrix(dataset, k: int) -> np.ndarray:
 
 def _best_run(method: str, options: FitOptions, single, prototype_kind: str,
               metric: MetricConfig, init: str | None = None,
-              higher_is_better: bool = False) -> ClusteringResult | None:
+              higher_is_better: bool = False,
+              covariance_kind: str | None = None) -> ClusteringResult | None:
     """The restart rule of every partitional fit, and its one result.
 
     Restart r is ``single(options.seed + r)``: a run's
@@ -67,7 +68,8 @@ def _best_run(method: str, options: FitOptions, single, prototype_kind: str,
     discarded run. The kept run with the best final objective ``trace[-1]``
     wins, and it is the result's objective; builtin ``min`` and ``max``
     keep the first of equal keys, so ties go to the earliest restart.
-    Returns None when every run was discarded.
+    ``covariance_kind`` is a mixture's, for its result. Returns None when
+    every run was discarded.
     """
     runs = (single(options.seed + r) for r in range(options.restarts))
     best = (max if higher_is_better else min)(
@@ -80,7 +82,7 @@ def _best_run(method: str, options: FitOptions, single, prototype_kind: str,
         method=method, k=options.k, assignments=labels, prototypes=prototypes,
         prototype_kind=prototype_kind, objective=trace[-1],
         iterations=iterations, converged=converged, seed=options.seed,
-        metric=metric, init=init, trace=trace)
+        metric=metric, init=init, trace=trace, covariance_kind=covariance_kind)
 
 
 def _repair_empty(labels: np.ndarray, k: int, point_cost: np.ndarray) -> np.ndarray:
@@ -436,7 +438,8 @@ def gmm_em(dataset, options: FitOptions) -> ClusteringResult:
     result = _best_run(
         "gmm", options,
         lambda seed: _gmm_single(X, options.k, seed, options, runs),
-        VECTOR, MetricConfig("euclidean"), "plusplus", higher_is_better=True)
+        VECTOR, MetricConfig("euclidean"), "plusplus", higher_is_better=True,
+        covariance_kind=options.covariance_kind)
     if result is None:
         raise FitError(
             f"gaussian mixture failed on all {options.restarts} restarts "

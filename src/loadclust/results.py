@@ -26,6 +26,9 @@ from .io import json_text, naming, read_json, with_extra
 MEDOID_INDEX = "medoid-index"
 VECTOR = "vector"
 
+#: The result fields a method descriptor holds when they are not None.
+_KNOBS = ("linkage", "size_weighted", "init", "covariance_kind")
+
 
 @dataclass(frozen=True)
 class ClusteringResult:
@@ -43,6 +46,8 @@ class ClusteringResult:
     member-to-medoid distance for hierarchy cuts. ``trace`` records the
     per-iteration objective of the selected run, for convergence checks.
     ``seed`` is None for deterministic methods that draw nothing.
+    ``size_weighted`` (ahc) and ``covariance_kind`` (gmm) are None for the
+    methods they do not apply to.
     """
 
     method: str
@@ -58,6 +63,8 @@ class ClusteringResult:
     linkage: str | None = None
     init: str | None = None
     trace: tuple = ()
+    size_weighted: bool | None = None
+    covariance_kind: str | None = None
 
     def __post_init__(self):
         labels = tuple(int(a) for a in self.assignments)
@@ -94,6 +101,8 @@ class ClusteringResult:
             raise ValueError("objective must be finite")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
+        if self.covariance_kind not in (None, *COVARIANCE_KINDS):
+            raise ValueError(f"unknown covariance kind {self.covariance_kind!r}")
         object.__setattr__(self, "assignments", labels)
         object.__setattr__(self, "prototypes", protos)
         object.__setattr__(self, "trace", tuple(float(t) for t in self.trace))
@@ -105,10 +114,9 @@ class ClusteringResult:
         if self.metric is not None:
             d["metric"] = self.metric.kind
             d["window"] = self.metric.window
-        if self.linkage is not None:
-            d["linkage"] = self.linkage
-        if self.init is not None:
-            d["init"] = self.init
+        for key in _KNOBS:
+            if getattr(self, key) is not None:
+                d[key] = getattr(self, key)
         return d
 
 
@@ -213,7 +221,8 @@ RESULT_FIELDS = {
 #: The method descriptor fields the loader reads, and the JSON type of each.
 DESCRIPTOR_FIELDS = {"algorithm": (str,), "prototype_kind": (str,),
                      "metric": (str,), "window": (int,), "linkage": (str,),
-                     "init": (str,)}
+                     "size_weighted": (bool,), "init": (str,),
+                     "covariance_kind": (str,)}
 
 
 def load_result(path) -> ClusteringResult:
@@ -256,6 +265,5 @@ def load_result(path) -> ClusteringResult:
             converged=doc["converged"],
             seed=doc["seed"],
             metric=metric,
-            linkage=desc.get("linkage"),
-            init=desc.get("init"),
+            **{key: desc.get(key) for key in _KNOBS},
         )

@@ -68,6 +68,21 @@ class TestDendrogramValidation:
         with pytest.raises(ValueError, match="unknown linkage"):
             Dendrogram(4, "ward", self.good_merges())
 
+    def test_size_weighted_only_with_average(self):
+        assert Dendrogram(4, "average", self.good_merges(), size_weighted=True)
+        with pytest.raises(ValueError, match="size_weighted"):
+            Dendrogram(4, "single", self.good_merges(), size_weighted=True)
+
+    def test_build_records_the_rule_it_used(self, noisy_matrix):
+        """A tree records whether its average rule was size-weighted, and
+        every cut carries it; the other linkages ignore the flag."""
+        for linkage in LINKAGES:
+            for size_weighted in (False, True):
+                d = build_dendrogram(noisy_matrix, linkage, size_weighted)
+                used = size_weighted and linkage == "average"
+                assert d.size_weighted is used
+                assert cut(d, 3, noisy_matrix).size_weighted is used
+
 
 class TestBuildOnHandExample:
     """Points 0, 1, 5, 7 on a line; all three linkages by hand.
@@ -453,7 +468,7 @@ class TestCutAgainstOracle:
             trees = [build_dendrogram(m, linkage) for linkage in LINKAGES]
             want = [cut_range(d, 1, m.n, m) for d in trees]
             with monkeypatch.context() as patch:
-                patch.setattr(distance, "_MEDOID_BYTES", 8 * rows * m.n)
+                patch.setattr(distance, "_SCRATCH_BYTES", 8 * rows * m.n)
                 got = [cut_range(d, 1, m.n, m) for d in trees]
             for r, e in zip(sum(got, []), sum(want, [])):
                 protos, objective = cut_oracle(r.assignments, r.k, m)
@@ -620,12 +635,32 @@ class TestBuildAgainstLazyStart:
             assert merge_bits(got) == merge_bits(expect), (linkage, size_weighted)
 
     def test_start_spans_several_row_blocks(self, monkeypatch):
-        import loadclust.ahc as ahc
-        monkeypatch.setattr(ahc, "_NN_BLOCK_ROWS", 7)
+        """The start's blocks take 17 bytes a cell of the scratch budget;
+        cut to 1, 3 and 7 rows, the start still gives the lazy merges."""
         rng = np.random.default_rng(1004)
         for n in (2, 7, 8, 30, 61):
             matrix = square_to_matrix(random_square(rng, n, integer=True))
-            for linkage, size_weighted in BUILD_CONFIGS:
-                assert (merge_bits(build_dendrogram(matrix, linkage, size_weighted))
-                        == merge_bits(lazy_build_oracle(matrix, linkage,
-                                                        size_weighted)))
+            for rows in (1, 3, 7):
+                monkeypatch.setattr(distance, "_SCRATCH_BYTES", 17 * rows * n)
+                assert distance._block_rows(n, 17) == rows
+                for linkage, size_weighted in BUILD_CONFIGS:
+                    assert (merge_bits(build_dendrogram(matrix, linkage,
+                                                        size_weighted))
+                            == merge_bits(lazy_build_oracle(matrix, linkage,
+                                                            size_weighted)))
+
+
+def test_build_holds_its_square_and_the_scratch_budget():
+    """Beside its n x n working square a build holds O(n) state and its
+    start's blocks, which ``distance._SCRATCH_BYTES`` bounds: at n=1600 a
+    fixed 256-row block took 7.0 MB."""
+    import tracemalloc
+    n = 1600
+    m = DistanceMatrix(n, np.random.default_rng(1005).random(n * (n - 1) // 2))
+    tracemalloc.start()
+    try:
+        build_dendrogram(m, "average")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * n * n <= distance._SCRATCH_BYTES + 256 * n

@@ -508,7 +508,7 @@ def test_peak_bytes_bounds_a_traced_matrix_sweep(method):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= ev.peak_bytes(len(ds), 3, method) - 30 * 2**20
+    assert peak <= ev.peak_bytes(len(ds), 3, spec) - 30 * 2**20
 
 
 class TestSweepReport:

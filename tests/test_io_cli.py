@@ -253,6 +253,26 @@ class TestCliCluster:
         assert out.exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags, knob, values", [
+        (("--method", "gmm", "--restarts", "2"), "covariance_kind",
+         ("diagonal", "full")),
+        (("--method", "ahc"), "size_weighted", (False, True)),
+    ], ids=["gmm", "ahc"])
+    def test_descriptor_tells_the_variants_apart(self, tmp_path, synth_file,
+                                                 flags, knob, values, capsys):
+        """``--covariance full`` and ``--size-weighted`` change the result,
+        so the descriptor records them and ``load_result`` reads them back."""
+        variant = {"covariance_kind": ("--covariance", "full"),
+                   "size_weighted": ("--size-weighted",)}[knob]
+        for out, extra, value in zip(("plain.json", "variant.json"),
+                                     ((), variant), values):
+            assert run_cli("cluster", "--input", synth_file, "--output",
+                           tmp_path / out, "--k", 3, *flags, *extra) == 0
+            doc = json.loads((tmp_path / out).read_text())
+            assert doc["method"][knob] == value
+            assert getattr(load_result(tmp_path / out), knob) == value
+        capsys.readouterr()
+
     def test_byte_determinism(self, tmp_path, synth_file, capsys):
         outs = [tmp_path / "r1.json", tmp_path / "r2.json"]
         for out in outs:
@@ -531,11 +551,11 @@ class TestCliMemoryAdmission:
     def as_if_12000_curves(self, monkeypatch):
         """Estimate every run as if the input held 12,000 curves."""
         monkeypatch.setattr(cli, "peak_bytes",
-                            lambda n, k_max, method: peak_bytes(12000, k_max,
-                                                                method))
+                            lambda n, k_max, spec: peak_bytes(12000, k_max,
+                                                              spec))
 
-    @pytest.mark.parametrize("method, need", [("ahc", 1779),
-                                              ("kmedoids", 1760)])
+    @pytest.mark.parametrize("method, need", [("ahc", 1729),
+                                              ("kmedoids", 1766)])
     def test_matrix_run_above_the_limit_exits_2_writing_nothing(
             self, tmp_path, synth_file, as_if_12000_curves, monkeypatch,
             method, need, capsys):
@@ -588,25 +608,28 @@ class TestCliMemoryAdmission:
 
     @pytest.mark.skipif(not hasattr(resource, "RUSAGE_CHILDREN"),
                         reason="needs resource.RUSAGE_CHILDREN")
-    @pytest.mark.parametrize("method, n", [
-        *((m, 1000) for m in ("ahc", "kmedoids", "kmeans", "kmeanspp", "gmm")),
-        ("ahc", 2000), ("kmedoids", 2000),
+    @pytest.mark.parametrize("method, n, restarts", [
+        *((m, 1000, 10) for m in ("ahc", "kmedoids", "kmeans", "kmeanspp",
+                                  "gmm")),
+        ("ahc", 2000, 10), ("kmedoids", 2000, 10), ("kmedoids", 2000, 50),
     ], ids=["ahc", "kmedoids", "kmeans", "kmeanspp", "gmm", "ahc-2000",
-            "kmedoids-2000"])
-    def test_estimate_covers_a_real_sweep(self, tmp_path, method, n):
+            "kmedoids-2000", "kmedoids-2000-restarts-50"])
+    def test_estimate_covers_a_real_sweep(self, tmp_path, method, n,
+                                          restarts):
         """``peak_bytes`` is at least the resident peak of a real k=2..8
         sweep of 1,000 curves, euclidean for a matrix method, and for a
         matrix method of 2,000 curves too, whose k=2 clusters are too large
-        for one gather of ``distance.medoid``. The sweep runs in a
-        grandchild, so the child's RUSAGE_CHILDREN peak is the sweep's
-        alone."""
+        for one gather of ``distance.medoid``, and whose k-medoids memo
+        grows with the restarts. The sweep runs in a grandchild, so the
+        child's RUSAGE_CHILDREN peak is the sweep's alone."""
         curves = tmp_path / "curves.csv"
         assert run_cli("synth", "--output", curves, "--k-true", 4,
                        "--per-archetype", n // 4, "--noise", 0.15,
                        "--shift", 2, "--seed", 1) == 0
         argv = [sys.executable, "-m", "loadclust.cli", "sweep", "--input",
                 str(curves), "--output", str(tmp_path / "sweep.csv"),
-                "--method", method, "--k-min", "2", "--k-max", "8"]
+                "--method", method, "--k-min", "2", "--k-max", "8",
+                "--restarts", str(restarts)]
         if method in MATRIX_METHODS:
             argv += ["--distance", "euclidean"]
         probe = ("import resource, subprocess\n"
@@ -619,7 +642,7 @@ class TestCliMemoryAdmission:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         rss = int(proc.stdout) * (1 if sys.platform == "darwin" else 1024)
-        assert rss <= peak_bytes(n, 8, method)
+        assert rss <= peak_bytes(n, 8, MethodSpec(method, restarts=restarts))
 
 
 class TestCliSweepAndElbow:

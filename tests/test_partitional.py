@@ -468,7 +468,7 @@ class TestKmedoidsAgainstOracle:
         for S in (noisy_matrix.to_square(), tied):
             want = [_kmedoids_single(S, k, seed, 300, {}) for k, seed in runs]
             with monkeypatch.context() as patch:
-                patch.setattr(distance, "_MEDOID_BYTES", 8 * rows * len(S))
+                patch.setattr(distance, "_SCRATCH_BYTES", 8 * rows * len(S))
                 for (k, seed), expect in zip(runs, want):
                     got = _kmedoids_single(S, k, seed, 300, {})
                     assert np.array_equal(got[0], expect[0])

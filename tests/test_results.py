@@ -80,6 +80,22 @@ class TestClusteringResultValidation:
             "metric": "euclidean", "window": 4, "init": "random",
         }
 
+    def test_descriptor_records_the_covariance_and_the_average_rule(self):
+        """A mixture's covariance kind and ahc's average rule change the
+        result, so its descriptor records them; a knob that does not apply
+        (None) is left out."""
+        gmm = vector_result(method="gmm", init="plusplus",
+                            covariance_kind="full").descriptor()
+        assert gmm["covariance_kind"] == "full"
+        ahc = medoid_result(method="ahc", linkage="average", seed=None,
+                            size_weighted=True).descriptor()
+        assert ahc["size_weighted"] is True
+        assert not {"covariance_kind", "size_weighted"} & (
+            medoid_result().descriptor().keys()
+            | vector_result().descriptor().keys())
+        with pytest.raises(ValueError, match="covariance kind"):
+            vector_result(covariance_kind="tied")
+
 
 class TestArrayInputs:
     """Producers pass numpy arrays straight in; the fields must come out
@@ -156,6 +172,25 @@ class TestResultJson:
         save_result(loaded, p2)
         assert p.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("make", [
+        lambda: vector_result(method="gmm", init="plusplus",
+                              covariance_kind="full"),
+        lambda: medoid_result(method="ahc", linkage="average", seed=None,
+                              size_weighted=True),
+        lambda: medoid_result(method="ahc", linkage="single", seed=None,
+                              size_weighted=False),
+    ], ids=["gmm-full", "ahc-size-weighted", "ahc-single"])
+    def test_round_trip_keeps_the_knobs(self, tmp_path, make):
+        r = make()
+        p = tmp_path / "r.json"
+        save_result(r, p)
+        loaded = load_result(p)
+        assert loaded.covariance_kind == r.covariance_kind
+        assert loaded.size_weighted is r.size_weighted
+        p2 = tmp_path / "r2.json"
+        save_result(loaded, p2)
+        assert p.read_bytes() == p2.read_bytes()
+
     @pytest.mark.parametrize("how", [
         "not JSON", "not an object", "missing method", 'k="3"', "k=3.0",
         'converged="yes"', "iterations=true", 'seed="0"', 'objective="1.5"',
@@ -164,6 +199,10 @@ class TestResultJson:
         'method={"algorithm": 5, "prototype_kind": "medoid-index"}',
         'method={"algorithm": "ahc", "prototype_kind": "medoid-index", '
         '"linkage": [1]}',
+        'method={"algorithm": "ahc", "prototype_kind": "medoid-index", '
+        '"size_weighted": 1}',
+        'method={"algorithm": "gmm", "prototype_kind": "medoid-index", '
+        '"covariance_kind": "tied"}',
         "assignments=[0.7, 0.2, 1.9]", "prototypes=[0.5, 2.9]",
         'vector entry="0.5"', "vector entry=true",
     ])
