@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import check_k
-from .distance import (DistanceMatrix, MetricConfig, _block_rows, check_matrix,
-                       cluster_medoids)
+from .distance import (DistanceMatrix, MetricConfig, _all_blocks, _block_rows,
+                       check_matrix, cluster_medoids)
 from .results import MEDOID_INDEX, ClusteringResult
 
 LINKAGES = ("single", "complete", "average")
@@ -156,16 +156,16 @@ def build_dendrogram(matrix: DistanceMatrix, linkage: str = "average",
     a pair-by-pair scan; a zero height takes its sign from numpy's ``min``
     over the bounds in slot order, as the reference builds do.
 
-    Working memory is one n x n float64 (8n^2 bytes), O(n) state and start
-    blocks of 17 bytes a cell (two masked copies and a mask) within the
-    scratch budget; a merge is O(n) numpy work, plus O(n) per rescan.
+    Working memory is one n x n float64 (8n^2 bytes), O(n) state and one
+    start block at a time, 9 bytes a cell (a masked copy and its mask)
+    within the scratch budget; a merge is O(n) numpy work, plus O(n) per rescan.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}, expected one of {LINKAGES}")
     n = matrix.n
     if n < 2:
         raise ValueError("need at least 2 curves to build a dendrogram")
-    if not np.all(np.isfinite(matrix.condensed)):
+    if not _all_blocks(matrix.condensed, n, np.isfinite):
         raise ValueError("distance matrix contains non-finite entries")
 
     dist = matrix.to_square()
@@ -175,12 +175,13 @@ def build_dendrogram(matrix: DistanceMatrix, linkage: str = "average",
     sizes = [1] * n  # per id
     nd = np.full(2 * n - 1, math.inf)
     nn = np.zeros(2 * n - 1, dtype=np.intp)
-    rows = _block_rows(n, 17)
+    rows = _block_rows(n, 9)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         block = np.where(id_of > id_of[lo:hi, None], dist[lo:hi], math.inf)
         nn[lo:hi] = block.argmin(axis=1)
         nd[lo:hi] = block[np.arange(hi - lo), nn[lo:hi]]
+        del block  # freed before the next pass builds its mask and block
 
     merges = []
     # overflow to inf is silent, as it is for Python floats

@@ -12,14 +12,21 @@ logic, so no kernel here may reorder a sum.
 
 ``dtw`` and ``pointwise_distance`` are the scalar reference definitions.
 ``pairwise_matrix`` and ``paired_distances`` compute the same values for a
-whole batch of pairs at once: the kernels loop over hours (pointwise) or
-band cells (dtw) in the scalar order, and each step applies the scalar
-code's ``-``, ``*``, ``abs``, three-way min or ``+`` to every pair of the
-batch as one elementwise array operation. IEEE arithmetic rounds each of
-those operations the same way in numpy as in Python, so every entry equals
-its scalar counterpart bit for bit, and the window-one identity carries
-over. No numpy reduction (``sum``, ``dot``) is used on a distance, because
-its pairwise summation would round differently.
+whole batch of pairs at once, one kernel per metric. Each kernel applies
+the scalar code's ``-``, ``*``, ``abs``, three-way min or ``+`` to every
+pair of the batch as one elementwise array operation, in the scalar order:
+dtw loops over band cells, and the pointwise kernels form every hour's
+terms at once, then add them down the hours with ``np.add.reduce`` along
+axis 0, which adds row after row (never pairwise) as long as the block has
+more than one column. IEEE arithmetic rounds each of those operations the
+same way in numpy as in Python, so every entry equals its scalar
+counterpart bit for bit, and the window-one identity carries over. No other
+numpy reduction (``sum`` of a 1-D array, ``dot``) is used on a distance,
+because its pairwise summation would round differently.
+
+A kernel writes its batch's distances into an ``out`` slice and takes all
+its scratch from one ``work`` buffer, so a matrix fill allocates its
+workspace once, not once per batch.
 
 DTW is not a metric: it violates the triangle inequality, so nothing
 downstream may index or prune by it. It is symmetric and non-negative,
@@ -199,28 +206,52 @@ def paired_distances(xs: np.ndarray, ys: np.ndarray,
     values, such as rows of ``Dataset.to_matrix()``. Every entry equals the
     scalar function's, bit for bit.
     Overflow is silent, as it is for Python floats: a huge difference
-    squares to inf in both.
+    squares to inf in both. The kernel runs once, on hour-major copies of
+    both arrays and a workspace sized for this one batch.
     """
     if xs.ndim != 2 or xs.shape != ys.shape:
         raise ValueError(
             f"need two equal-shape 2-D arrays, got {xs.shape} and {ys.shape}"
         )
-    # hour-major: each kernel step is one elementwise operation over a
-    # contiguous row holding every pair's value for that hour
-    a = np.ascontiguousarray(xs.T)
-    b = np.ascontiguousarray(ys.T)
+    pairs, hours = xs.shape
+    out = np.empty(pairs)
+    _columns(np.ascontiguousarray(xs.T), np.ascontiguousarray(ys.T), metric,
+             np.empty(_work_floats(metric, hours, pairs)), out)
+    return out
+
+
+def _work_floats(metric: MetricConfig, hours: int, pairs: int) -> int:
+    """Float64s of kernel workspace for a batch of up to ``pairs`` pairs of
+    ``hours``-long curves: dtw's two DP rows of hours + 1 cells and two
+    band rows, or the pointwise sums' block with its zero column and the
+    row it reduces to."""
+    if metric.kind == "dtw":
+        band = min(hours, 2 * metric.window - 1)
+        return (2 * (hours + 1) + 2 * band) * pairs
+    sums = 3 if metric.kind == "cosine" else 1
+    return (hours + 1) * (sums * pairs + 1)
+
+
+def _columns(a, b, metric: MetricConfig, work, out) -> None:
+    """Write ``metric.distance`` of columns p of the hour-major arrays
+    ``a`` and ``b`` into ``out[p]``, using ``work`` as all scratch."""
     with np.errstate(over="ignore"):
         if metric.kind == "dtw":
-            return _dtw_columns(a, b, metric.window)
-        return _pointwise_columns(a, b, metric.kind)
+            _dtw_columns(a, b, metric.window, work, out)
+        else:
+            _pointwise_columns(a, b, metric.kind, work, out)
 
 
-def _dtw_columns(a, b, window: int) -> np.ndarray:
+def _dtw_columns(a, b, window: int, work, out) -> None:
     """``dtw`` on equal-length columns: the same two rolling DP rows and the
     same cell order, with one array element per pair in every cell."""
     n, pairs = a.shape
-    prev = np.full((n + 1, pairs), math.inf)
-    curr = np.full((n + 1, pairs), math.inf)
+    band = min(n, 2 * window - 1)
+    height = 2 * (n + 1) + 2 * band
+    rows = work[:height * pairs].reshape(height, pairs)
+    dp, costs, bests = rows[:2 * (n + 1)], rows[2 * (n + 1):-band], rows[-band:]
+    dp.fill(math.inf)  # cells right of the band read inf in every batch
+    prev, curr = dp[:n + 1], dp[n + 1:]
     prev[0] = 0.0
     # each DP row's view, taken once: the cell loop looks rows up in a list
     # instead of making two fresh ndarray views per cell
@@ -228,14 +259,15 @@ def _dtw_columns(a, b, window: int) -> np.ndarray:
     for i in range(1, n + 1):
         lo = max(1, i - window + 1)
         hi = min(n, i + window - 1)
-        cost = a[i - 1] - b[lo - 1:hi]
+        cost = np.subtract(a[i - 1], b[lo - 1:hi], out=costs[:hi - lo + 1])
         np.multiply(cost, cost, out=cost)
         # min(prev[j-1], prev[j]) for the whole band row; the horizontal
         # predecessor curr[j-1] depends on the previous cell, so it is
         # folded in cell by cell. min is exact, so the grouping of the
         # three-way min cannot change a bit. The band's first cell has the
         # out-of-band inf on its left, which no min picks, so it is skipped.
-        best = np.minimum(prev[lo - 1:hi], prev[lo:hi + 1])
+        best = np.minimum(prev[lo - 1:hi], prev[lo:hi + 1],
+                          out=bests[:hi - lo + 1])
         if lo == 1:
             # the next row reads curr[0] as its band's left boundary; once
             # the band has left column 1, no row reads a cell left of it
@@ -247,41 +279,56 @@ def _dtw_columns(a, b, window: int) -> np.ndarray:
             np.add(cst, bst, out=cell)
         prev, curr = curr, prev
         prev_rows, curr_rows = curr_rows, prev_rows
-    return np.sqrt(prev[n])
+    np.sqrt(prev[n], out=out)
 
 
-def _pointwise_columns(a, b, kind: str) -> np.ndarray:
-    """``pointwise_distance`` on columns, accumulating hour by hour."""
-    acc = np.zeros(a.shape[1])
+def _pointwise_columns(a, b, kind: str, work, out) -> None:
+    """``pointwise_distance`` on columns: every hour's terms in one block,
+    then one sum down the hours.
+
+    ``np.add.reduce`` along axis 0 of a C-contiguous block adds its rows
+    one at a time, left to right, the scalar loop's order (the rule
+    ``medoid`` relies on too). A block of a single column would be summed
+    pairwise instead, so every block carries a last column of zeros.
+    """
+    n, pairs = a.shape
+    sums = 3 if kind == "cosine" else 1
+    width = sums * pairs + 1
+    block = work[:n * width].reshape(n, width)
+    acc = work[n * width:(n + 1) * width]
+    block[:, -1] = 0.0
     if kind == "euclidean":
-        for x, y in zip(a, b):
-            d = x - y
-            acc += d * d
-        return np.sqrt(acc)
-    if kind == "manhattan":
-        for x, y in zip(a, b):
-            acc += np.abs(x - y)
-        return acc
-    if kind == "cosine":
-        nx = np.zeros_like(acc)
-        ny = np.zeros_like(acc)
-        for x, y in zip(a, b):
-            acc += x * y
-            nx += x * x
-            ny += y * y
-        nx = np.sqrt(nx)
-        ny = np.sqrt(ny)
+        d = np.subtract(a, b, out=block[:, :pairs])
+        np.multiply(d, d, out=d)
+    elif kind == "manhattan":
+        np.abs(np.subtract(a, b, out=block[:, :pairs]), out=block[:, :pairs])
+    elif kind == "cosine":
+        np.multiply(a, b, out=block[:, :pairs])
+        np.multiply(a, a, out=block[:, pairs:2 * pairs])
+        np.multiply(b, b, out=block[:, 2 * pairs:-1])
+    else:
+        raise ValueError(f"unknown pointwise metric {kind!r}")
+    np.add.reduce(block, axis=0, out=acc)
+    if kind == "euclidean":
+        np.sqrt(acc[:pairs], out=out)
+    elif kind == "manhattan":
+        out[:] = acc[:pairs]
+    else:
+        dot, norms = acc[:pairs], acc[pairs:-1]
+        np.sqrt(norms, out=norms)
+        nx, ny = norms[:pairs], norms[pairs:]
         degenerate = (nx < 1e-12) | (ny < 1e-12)
         if degenerate.any():
             logger.debug("cosine distance of %d pairs with a near-zero vector "
                          "defined as 1.0", int(degenerate.sum()))
         with np.errstate(divide="ignore", invalid="ignore"):
-            v = 1.0 - acc / (nx * ny)
+            np.multiply(nx, ny, out=ny)
+            np.divide(dot, ny, out=dot)
+            np.subtract(1.0, dot, out=out)
         # min(2.0, max(0.0, v)) with Python's comparison semantics
-        v = np.where(v > 0.0, v, 0.0)
-        v = np.where(v < 2.0, v, 2.0)
-        return np.where(degenerate, 1.0, v)
-    raise ValueError(f"unknown pointwise metric {kind!r}")
+        np.copyto(out, 0.0, where=~(out > 0.0))
+        np.copyto(out, 2.0, where=~(out < 2.0))
+        np.copyto(out, 1.0, where=degenerate)
 
 
 def condensed_index(n: int, i: int, j: int) -> int:
@@ -293,6 +340,23 @@ def condensed_index(n: int, i: int, j: int) -> int:
     if not (0 <= i < j < n):
         raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, n={n}")
     return n * i - (i * (i + 1)) // 2 + (j - i - 1)
+
+
+#: The bytes a matrix run holds beside its matrix and one square, at most.
+_SCRATCH_BYTES = 4 * 2**20
+
+
+def _block_rows(n: int, bytes_per_cell: int) -> int:
+    """Rows of n cells, ``bytes_per_cell`` each, in ``_SCRATCH_BYTES``; >= 1."""
+    return max(1, _SCRATCH_BYTES // (bytes_per_cell * n))
+
+
+def _all_blocks(vec: np.ndarray, n: int, test) -> bool:
+    """Whether the elementwise ``test`` holds on every entry of a condensed
+    vector for n curves, tried on ``_block_rows(n, 1)`` rows of entries at
+    a time, so that its one-byte mask stays within the scratch budget."""
+    step = _block_rows(n, 1) * n
+    return all(test(vec[lo:lo + step]).all() for lo in range(0, len(vec), step))
 
 
 @dataclass(frozen=True)
@@ -319,7 +383,8 @@ class DistanceMatrix:
                 f"condensed vector for n={self.n} must have length {expect}, "
                 f"got shape {vec.shape}"
             )
-        if not (vec >= 0).all():  # NaN compares false, -0.0 and inf pass
+        # NaN compares false, -0.0 and inf pass
+        if not _all_blocks(vec, self.n, lambda v: v >= 0):
             raise ValueError("distances must be non-negative and not NaN")
         vec.setflags(write=False)
         object.__setattr__(self, "condensed", vec)
@@ -355,15 +420,6 @@ def check_matrix(matrix: DistanceMatrix, n: int,
         raise ValueError(f"matrix was built with {matrix.metric.label()}, "
                          f"run asks for {metric.label()}")
     return matrix
-
-
-#: The bytes a matrix run holds beside its matrix and one square, at most.
-_SCRATCH_BYTES = 4 * 2**20
-
-
-def _block_rows(n: int, bytes_per_cell: int) -> int:
-    """Rows of n cells, ``bytes_per_cell`` each, in ``_SCRATCH_BYTES``; >= 1."""
-    return max(1, _SCRATCH_BYTES // (bytes_per_cell * n))
 
 
 def medoid(square: np.ndarray, members: np.ndarray) -> tuple[int, np.ndarray]:
@@ -410,10 +466,12 @@ def cluster_medoids(square: np.ndarray, labels, k: int,
     return list(medoids), total_distance(gaps)
 
 
-#: Pairs per batch in ``pairwise_matrix``. A batch's arrays are a few
-#: (25, pairs) floats, so this keeps the kernel's working memory near 1 MB
-#: at any n.
-_BLOCK_PAIRS = 1024
+#: Pairs per batch in ``pairwise_matrix``. A fill allocates its scratch
+#: once, sized for one batch: two hour-major gathers of 24 floats a pair
+#: and the kernel's workspace, ``_work_floats``. For dtw(w=4) that is about
+#: 900 B a pair, 1.8 MB in all (2.4 MB at most, for w >= 12), inside
+#: ``_SCRATCH_BYTES`` at any n. Larger batches save no time, only memory.
+_BLOCK_PAIRS = 2048
 
 
 def _pair_blocks(n: int):
@@ -434,10 +492,12 @@ def pairwise_matrix(dataset, metric: MetricConfig | None = None) -> DistanceMatr
 
     The curves come from the dataset's array, ``to_matrix()``, whose rows
     ``Dataset`` has already checked to be 24 finite values. The
-    condensed vector is filled in fixed-size batches of consecutive pairs,
-    each computed by the batched kernels, so every entry equals
+    condensed vector is filled in batches of ``_BLOCK_PAIRS`` consecutive
+    pairs, each computed by the batched kernels, so every entry equals
     ``metric.distance`` on its pair bit for bit and the result is
-    byte-reproducible.
+    byte-reproducible. The fill allocates its two gather buffers and its
+    kernel workspace once; each batch is gathered into them and its
+    distances are written in place into the condensed vector.
 
     Shape metrics on a raw dataset almost always mean a missing
     normalization step; that raises ``UnnormalizedDataWarning`` but still
@@ -456,14 +516,20 @@ def pairwise_matrix(dataset, metric: MetricConfig | None = None) -> DistanceMatr
             UnnormalizedDataWarning,
             stacklevel=2,
         )
-    # Stored hour-major. np.take along axis 1 gathers a batch hour-major
-    # and C-contiguous, the layout paired_distances wants, so its .T costs
-    # no copy there; cols[:, i] would come out pair-major and be copied.
+    # Stored hour-major, so np.take along axis 1 gathers a batch hour-major
+    # and C-contiguous, the kernels' layout. mode="clip" writes straight
+    # into the buffer; the default mode would gather into a copy first.
     cols = np.ascontiguousarray(dataset.to_matrix().T)
+    hours = cols.shape[0]
     out = np.empty(n * (n - 1) // 2, dtype=float)
+    pairs = min(_BLOCK_PAIRS, len(out))
+    gather = np.empty((2, hours * pairs))
+    work = np.empty(_work_floats(cfg, hours, pairs))
     for start, i, j in _pair_blocks(n):
-        out[start:start + len(i)] = paired_distances(
-            np.take(cols, i, axis=1).T, np.take(cols, j, axis=1).T, cfg)
+        a, b = (buf[:hours * len(i)].reshape(hours, len(i)) for buf in gather)
+        np.take(cols, i, axis=1, out=a, mode="clip")
+        np.take(cols, j, axis=1, out=b, mode="clip")
+        _columns(a, b, cfg, work, out[start:start + len(i)])
     return DistanceMatrix(n, out, cfg)
 
 

@@ -635,14 +635,14 @@ class TestBuildAgainstLazyStart:
             assert merge_bits(got) == merge_bits(expect), (linkage, size_weighted)
 
     def test_start_spans_several_row_blocks(self, monkeypatch):
-        """The start's blocks take 17 bytes a cell of the scratch budget;
+        """The start's blocks take 9 bytes a cell of the scratch budget;
         cut to 1, 3 and 7 rows, the start still gives the lazy merges."""
         rng = np.random.default_rng(1004)
         for n in (2, 7, 8, 30, 61):
             matrix = square_to_matrix(random_square(rng, n, integer=True))
             for rows in (1, 3, 7):
-                monkeypatch.setattr(distance, "_SCRATCH_BYTES", 17 * rows * n)
-                assert distance._block_rows(n, 17) == rows
+                monkeypatch.setattr(distance, "_SCRATCH_BYTES", 9 * rows * n)
+                assert distance._block_rows(n, 9) == rows
                 for linkage, size_weighted in BUILD_CONFIGS:
                     assert (merge_bits(build_dendrogram(matrix, linkage,
                                                         size_weighted))
@@ -664,3 +664,25 @@ def test_build_holds_its_square_and_the_scratch_budget():
     finally:
         tracemalloc.stop()
     assert peak - 8 * n * n <= distance._SCRATCH_BYTES + 256 * n
+
+
+def test_matrix_checks_hold_their_masks_to_the_scratch_budget():
+    """Checking a condensed vector, whole, took an n²/2-byte boolean mask:
+    4.9 MiB at n=3200. The non-negativity check of a ``DistanceMatrix`` and
+    the build's finiteness check each test blocks of rows instead."""
+    import tracemalloc
+    n = 3200
+    vec = np.random.default_rng(1006).random(n * (n - 1) // 2)
+    vec[-1] = math.inf  # the build refuses it only once the last block is read
+    tracemalloc.start()
+    try:
+        m = DistanceMatrix(n, vec)
+        _, held = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with pytest.raises(ValueError, match="non-finite"):
+            build_dendrogram(m, "single")
+        _, checked = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= distance._SCRATCH_BYTES
+    assert checked <= distance._SCRATCH_BYTES

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -343,22 +345,43 @@ class TestPairwiseMatrix:
                                      MetricConfig("euclidean")],
                              ids=lambda c: c.label())
     def test_batches_arrive_in_the_kernel_layout(self, cfg, monkeypatch):
-        # paired_distances reads xs.T and ys.T hour-major; a batch whose .T
-        # is not already C-contiguous is copied on every call
+        # the kernels step over hour rows holding every pair of the batch;
+        # each batch must reach them hour-major and C-contiguous
         layouts = []
-        real = distance.paired_distances
+        real = distance._columns
 
-        def recording(xs, ys, metric):
-            layouts.append((xs.shape[0], xs.T.flags.c_contiguous,
-                            ys.T.flags.c_contiguous))
-            return real(xs, ys, metric)
+        def recording(a, b, metric, work, out):
+            layouts.append((a.shape, b.shape, a.flags.c_contiguous,
+                            b.flags.c_contiguous, len(out)))
+            return real(a, b, metric, work, out)
 
-        monkeypatch.setattr(distance, "paired_distances", recording)
+        monkeypatch.setattr(distance, "_columns", recording)
         monkeypatch.setattr(distance, "_BLOCK_PAIRS", 16)
         rng = np.random.default_rng(5)
         pairwise_matrix(curve_dataset(rng.normal(size=(12, 24)).tolist()), cfg)
-        assert [pairs for pairs, _, _ in layouts] == [16, 16, 16, 16, 2]
-        assert all(x and y for _, x, y in layouts)
+        assert [pairs for *_, pairs in layouts] == [16, 16, 16, 16, 2]
+        assert all(sa == sb == (24, pairs) and ca and cb
+                   for sa, sb, ca, cb, pairs in layouts)
+
+    @pytest.mark.parametrize("cfg", [MetricConfig("dtw", 4),
+                                     MetricConfig("dtw", 24),
+                                     MetricConfig("cosine")],
+                             ids=lambda c: c.label())
+    def test_a_fill_holds_one_workspace(self, cfg, monkeypatch):
+        """Beside its output and the curves' hour-major copy, a fill of 112
+        batches holds one batch's gathers and kernel workspace, plus a
+        batch's index arrays and row views (under 32 KiB)."""
+        monkeypatch.setattr(distance, "_BLOCK_PAIRS", 64)
+        n = 120
+        ds = curve_dataset(np.random.default_rng(6).normal(size=(n, 24)).tolist())
+        workspace = 8 * (2 * 24 * 64 + distance._work_floats(cfg, 24, 64))
+        tracemalloc.start()
+        try:
+            pairwise_matrix(ds, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * (n - 1) // 2 + 8 * 24 * n + workspace + 2**15
 
 
 class TestBatchedAgainstScalar:
@@ -383,7 +406,7 @@ class TestBatchedAgainstScalar:
                                      MetricConfig("manhattan"), MetricConfig("cosine")],
                              ids=lambda c: c.label())
     def test_at_the_real_batch_size(self, cfg):
-        n = 50
+        n = 70
         block = distance._BLOCK_PAIRS
         assert n * (n - 1) // 2 > block
         # the first batch boundary falls inside a row, not at a row start
@@ -410,6 +433,44 @@ class TestBatchedAgainstScalar:
         cfg = MetricConfig(kind)
         got = pairwise_matrix(curve_dataset(rows), cfg).condensed
         assert np.array_equal(bits(got), bits(scalar_matrix(rows, cfg)))
+
+    @pytest.mark.parametrize("cfg", [MetricConfig("dtw", 4), MetricConfig("euclidean"),
+                                     MetricConfig("manhattan"), MetricConfig("cosine")],
+                             ids=lambda c: c.label())
+    def test_later_batches_read_no_stale_workspace(self, cfg, monkeypatch):
+        # batches of 7 over 36 pairs: five full batches of distances far
+        # above those of the last, one-pair batch, which runs on the same
+        # workspace laid out for one pair instead of seven
+        rng = np.random.default_rng(22)
+        rows = (rng.normal(size=(8, 24)) * 1e6).tolist()
+        rows.append([v + 1e-3 * e for v, e in zip(rows[-1], rng.normal(size=24))])
+        monkeypatch.setattr(distance, "_BLOCK_PAIRS", 7)
+        got = pairwise_matrix(curve_dataset(rows), cfg).condensed
+        expect = scalar_matrix(rows, cfg)
+        assert expect[:-1].min() > 1e3 * expect[-1]
+        assert np.array_equal(bits(got), bits(expect))
+
+    @pytest.mark.parametrize("kind", ["euclidean", "manhattan", "cosine"])
+    @pytest.mark.parametrize("pairs", [1, 2])
+    def test_one_and_two_pair_batches_add_left_to_right(self, kind, pairs):
+        # hours spanning sixteen orders of magnitude, where numpy's pairwise
+        # sum of one curve's 24 terms and the scalar left-to-right sum
+        # differ in the last bits; wcbcr's k=2 between-sum is one such pair
+        rng = np.random.default_rng(23)
+        scale = 10.0 ** rng.integers(-8, 8, size=(40, pairs, 2, 24))
+        curves = rng.normal(size=scale.shape) * scale
+        terms = {"euclidean": lambda x, y: (x - y) ** 2,
+                 "manhattan": lambda x, y: np.abs(x - y),
+                 "cosine": lambda x, y: x * y}[kind]
+        pairwise = [np.sum(terms(x, y)) for x, y in curves[:, 0]]
+        in_order = [functools.reduce(operator.add, terms(x, y).tolist(), 0.0)
+                    for x, y in curves[:, 0]]
+        assert sum(a != b for a, b in zip(pairwise, in_order)) >= 10
+        for batch in curves:
+            xs, ys = batch[:, 0], batch[:, 1]
+            got = paired_distances(xs, ys, MetricConfig(kind))
+            expect = [pointwise_distance(x, y, kind) for x, y in zip(xs, ys)]
+            assert np.array_equal(bits(got), bits(expect))
 
     def test_paired_distances_rejects_unequal_shapes(self):
         with pytest.raises(ValueError, match="equal-shape"):
