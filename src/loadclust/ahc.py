@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import check_k
+from .curves import check_k, check_types
 from .distance import (DistanceMatrix, MetricConfig, _all_blocks, _block_rows,
                        check_matrix, cluster_medoids)
 from .results import MEDOID_INDEX, ClusteringResult
@@ -52,7 +52,8 @@ class MergeStep:
 
     Ids follow the linkage-matrix convention: leaves are 0..n-1 and the
     i-th merge (0-based) creates cluster id n+i. ``left < right`` always;
-    ``new_size`` is the member count of the created cluster.
+    ``new_size`` is the member count of the created cluster. The ids and
+    the size are ints and the height an int or a float (``check_types``).
     """
 
     left: int
@@ -61,6 +62,9 @@ class MergeStep:
     new_size: int
 
     def __post_init__(self):
+        check_types("a merge id or size", (self.left, self.right, self.new_size),
+                    (int,))
+        check_types("height", (self.height,), (int, float))
         if self.left >= self.right:
             raise ValueError("merge step ids must satisfy left < right")
         if self.left < 0:
@@ -79,7 +83,8 @@ class Dendrogram:
     and every cluster id is consumed at most once. ``metric`` records which
     distance the hierarchy was built under and ``size_weighted`` whether
     its average rule was the member-count-weighted mean, so cuts can state
-    their provenance.
+    their provenance. ``n_leaves`` is an int, ``size_weighted`` a bool and
+    each merge a ``MergeStep`` (``check_types``).
     """
 
     n_leaves: int
@@ -89,11 +94,14 @@ class Dendrogram:
     size_weighted: bool = False
 
     def __post_init__(self):
+        check_types("n_leaves", (self.n_leaves,), (int,))
+        check_types("size_weighted", (self.size_weighted,), (bool,))
         if self.linkage not in LINKAGES:
             raise ValueError(f"unknown linkage {self.linkage!r}")
         if self.size_weighted and self.linkage != "average":
             raise ValueError("size_weighted only applies to average linkage")
         merges = tuple(self.merges)
+        check_types("a merge", merges, (MergeStep,))
         if len(merges) != self.n_leaves - 1:
             raise ValueError(
                 f"{self.n_leaves} leaves need {self.n_leaves - 1} merges, "

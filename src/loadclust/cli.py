@@ -2,14 +2,14 @@
 
 Every command is a pure file-in, file-out transformation plus at most one
 line on stdout; identical flags always produce byte-identical artifacts.
-Invalid flag combinations and hyperparameter values exit with status 2 and a
-one-line diagnostic before any file is read, and a k the input cannot hold,
-or a run too large for the address space limit, right after it is read,
-before any distance is computed. ``synth`` resolves its flags into a
-``SyntheticSpec``, ``cluster`` and ``sweep`` into a ``MethodSpec``; each
-spec owns and checks its values as it is built, and only flag rules live
-here. Failures while running, running out of memory included, exit with
-status 1.
+Invalid flag combinations and hyperparameter values, and an output that
+names an input, exit with status 2 and a one-line diagnostic before any
+file is read, and a k the input cannot hold, or a run too large for the
+address space limit, right after it is read, before any distance is
+computed. ``synth`` resolves its flags into a ``SyntheticSpec``,
+``cluster`` and ``sweep`` into a ``MethodSpec``; each spec owns and checks
+its values as it is built, and only flag rules live here. Failures while
+running, running out of memory included, exit with status 1.
 
 Commands
 --------
@@ -27,6 +27,7 @@ Euclidean WCBCR scoring.
 from __future__ import annotations
 
 import argparse
+import os
 import resource
 import sys
 import warnings
@@ -39,7 +40,7 @@ from .distance import METRIC_KINDS, MetricConfig, check_matrix, load_matrix, \
 from .evaluation import (MATRIX_METHODS, METHODS, DegenerateElbowWarning,
                          MethodSpec, elbow, fit, load_sweep, peak_bytes,
                          save_sweep, sweep, wcbcr)
-from .io import read_curves, read_readings, write_curves
+from .io import read_curves, read_readings, sidecar_path, write_curves
 from .partitional import FitError
 from .results import COVARIANCE_KINDS, FitParams, save_result
 
@@ -48,10 +49,28 @@ class ConfigError(ValueError):
     any computation."""
 
 
+def _check_paths(args) -> None:
+    """Refuse a run that would write over a file it reads, or write one
+    file twice: the ``os.path.realpath`` of each path it writes (--output
+    and its sidecar, --save-matrix) against each it reads (--input and its
+    sidecar, --load-matrix) and the other written ones."""
+    def real(flag, cache):  # --flag, its sidecar and the --cache matrix
+        path = getattr(args, flag, None)
+        paths = [path, sidecar_path(path)] if path else []
+        return [os.path.realpath(p) for p in paths + [getattr(args, cache, None)] if p]
+    read, written = real("input", "load_matrix"), real("output", "save_matrix")
+    for i, path in enumerate(written):
+        if path in read:
+            raise ConfigError(f"refusing to write over {path}, an input of the run")
+        if path in written[:i]:
+            raise ConfigError(f"refusing to write {path} twice")
+
+
 def _resolve(args: argparse.Namespace) -> MethodSpec | SyntheticSpec | None:
     """Check the flag rules, then build the run's spec, before any I/O.
 
-    Only the flag rules live here: the cache flags only for the matrix
+    Only the flag rules live here: no output that names an input
+    (``_check_paths``), the cache flags only for the matrix
     methods, an explicit --covariance only for gmm, --window only with dtw
     and synth's --seed. The k range is ``check_k``'s, without the curve
     count. Every other rule, such as a metric only for the matrix methods,
@@ -59,6 +78,7 @@ def _resolve(args: argparse.Namespace) -> MethodSpec | SyntheticSpec | None:
     its ValueError, as ``check_k``'s, becomes a ConfigError. Returns None
     for ingest and elbow, which take no spec.
     """
+    _check_paths(args)
     command = args.command
     if command in ("ingest", "elbow"):
         return None

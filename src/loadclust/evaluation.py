@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -240,7 +240,8 @@ class SweepReport:
     """WCBCR scores over a k-range for one method.
 
     ``rows`` are (k, wcbcr) pairs with strictly increasing k. A k whose fit
-    failed is absent from rows and explained in ``diagnostics`` instead.
+    failed is absent from rows and explained in ``diagnostics`` instead, a
+    tuple or list of str (``check_types``).
     """
 
     spec: MethodSpec
@@ -259,6 +260,8 @@ class SweepReport:
         for k, w in rows:
             if not (math.isfinite(w) and w >= 0):
                 raise ValueError(f"wcbcr at k={k} must be finite and >= 0, got {w}")
+        check_types("diagnostics", (self.diagnostics,), (tuple, list))
+        check_types("a diagnostic", self.diagnostics, (str,))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
 
@@ -374,11 +377,11 @@ def load_sweep(path) -> SweepReport:
     elbow command needs nothing more than the rows. A spec field other than
     method, metric, window, linkage and seed takes its default when an
     older sidecar lacks it. A defect is one ``io.naming`` ValueError naming
-    the sidecar (values that make no valid spec, diagnostics that are not a
-    list of strings) or the CSV (rows that make no valid ``SweepReport``).
+    the sidecar (values that make no valid spec, or diagnostics that make
+    no valid ``SweepReport``) or the CSV (rows that make none).
     """
     rows = read_csv(path, SWEEP_HEADER, lambda row: (int(row[0]), float(row[1])))
-    spec, diagnostics = MethodSpec("ahc"), []
+    report = SweepReport(MethodSpec("ahc"), ())
     meta = read_sidecar(path, ("method", "metric", "window", "linkage", "seed"))
     if meta is not None:
         with naming(sidecar_path(path)):
@@ -389,11 +392,10 @@ def load_sweep(path) -> SweepReport:
                               size_weighted=meta.get("size_weighted", False),
                               **{f.name: meta.get(f.name, f.default)
                                  for f in fields(FitParams)})
-            diagnostics = meta.get("diagnostics", [])
-            check_types("diagnostics", (diagnostics,), (list,))
-            check_types("a diagnostic", diagnostics, (str,))
-    with naming(path):
-        return SweepReport(spec, rows, EVALUATION_METRIC, diagnostics)
+            report = SweepReport(spec, (), EVALUATION_METRIC,
+                                 meta.get("diagnostics", []))
+    with naming(path):  # the report's rules on its rows name the CSV
+        return replace(report, rows=rows)
 
 
 def sweep_table(dataset, specs, k_min: int, k_max: int):

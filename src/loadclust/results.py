@@ -6,8 +6,10 @@ treat methods uniformly. The only method-dependent part is what a prototype
 is: medoid methods point at an actual member curve by index, centroid
 methods carry an explicit 24-point mean vector.
 
-FitParams owns the fit hyperparameters: their fields, defaults and checks
-of type (``curves.check_types``), then range. FitOptions (one fit at one
+ClusteringResult owns every rule on a result's fields: their types
+(``curves.check_types``), then their values, whether a fit or
+``load_result`` built it. FitParams owns the fit hyperparameters: their
+fields, defaults and checks of type, then range. FitOptions (one fit at one
 k) and MethodSpec extend it and the CLI takes its flag defaults from it,
 so a bad value is one ValueError when either is built, for library,
 sidecar and CLI alike.
@@ -17,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .curves import HOURS_PER_DAY, check_k, check_types
 from .distance import MetricConfig
@@ -28,6 +32,24 @@ VECTOR = "vector"
 
 #: The result fields a method descriptor holds when they are not None.
 _KNOBS = ("linkage", "size_weighted", "init", "covariance_kind")
+
+#: The scalar result fields and the Python types each may hold.
+RESULT_FIELD_TYPES = {
+    "method": (str,), "prototype_kind": (str,), "objective": (int, float),
+    "iterations": (int,), "converged": (bool,), "seed": (int, type(None)),
+    "metric": (MetricConfig, type(None)), "linkage": (str, type(None)),
+    "init": (str, type(None)), "covariance_kind": (str, type(None)),
+    "size_weighted": (bool, type(None)),
+}
+
+
+def _sequence(name: str, values) -> tuple:
+    """A tuple, list or ndarray (through one ``tolist``: an intp array
+    gives ints, a float array floats) as a tuple, else one ValueError."""
+    if type(values) is np.ndarray:
+        values = values.tolist()
+    check_types(name, (values,), (tuple, list))
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -67,11 +89,16 @@ class ClusteringResult:
     covariance_kind: str | None = None
 
     def __post_init__(self):
-        labels = tuple(int(a) for a in self.assignments)
+        for name, types in RESULT_FIELD_TYPES.items():
+            check_types(name, (getattr(self, name),), types)
+        if self.prototype_kind not in (MEDOID_INDEX, VECTOR):
+            raise ValueError(f"unknown prototype kind {self.prototype_kind!r}")
+        labels = _sequence("assignments", self.assignments)
+        check_types("an assignment", labels, (int,))
         if not labels:
             raise ValueError("assignments must be non-empty")
         check_k(self.k, self.k, least=1)
-        protos = tuple(self.prototypes)
+        protos = _sequence("prototypes", self.prototypes)
         if len(protos) != self.k:  # first: it bounds k before range(k)
             raise ValueError(f"need {self.k} prototypes, got {len(protos)}")
         seen = set()
@@ -83,20 +110,20 @@ class ClusteringResult:
             missing = sorted(set(range(self.k)) - seen)
             raise ValueError(f"empty cluster(s): {missing}")
 
-        if self.prototype_kind not in (MEDOID_INDEX, VECTOR):
-            raise ValueError(f"unknown prototype kind {self.prototype_kind!r}")
         if self.prototype_kind == MEDOID_INDEX:
-            protos = tuple(int(p) for p in protos)
+            check_types("a medoid index", protos, (int,))
             for p in protos:
                 if not (0 <= p < len(labels)):
                     raise ValueError(f"medoid index {p} out of range")
         else:
-            protos = tuple(tuple(float(v) for v in p) for p in protos)
+            protos = tuple(_sequence("a prototype", p) for p in protos)
             for p in protos:
+                check_types("a prototype entry", p, (int, float))
                 if len(p) != HOURS_PER_DAY:
                     raise ValueError("prototype vectors must have 24 points")
                 if not all(math.isfinite(v) for v in p):
                     raise ValueError("non-finite prototype vector")
+            protos = tuple(tuple(map(float, p)) for p in protos)
         if not math.isfinite(self.objective):
             raise ValueError("objective must be finite")
         if self.iterations < 0:
@@ -105,6 +132,7 @@ class ClusteringResult:
             raise ValueError(f"unknown covariance kind {self.covariance_kind!r}")
         object.__setattr__(self, "assignments", labels)
         object.__setattr__(self, "prototypes", protos)
+        object.__setattr__(self, "objective", float(self.objective))
         object.__setattr__(self, "trace", tuple(float(t) for t in self.trace))
 
     def descriptor(self) -> dict:
@@ -210,60 +238,31 @@ def save_result(result: ClusteringResult, path,
         f.write(result_to_json(result, extra_method_fields))
 
 
-#: The top-level fields of a result JSON and the JSON types each may hold.
-RESULT_FIELDS = {
-    "method": (dict,), "k": (int,), "seed": (int, type(None)),
-    "converged": (bool,), "iterations": (int,), "assignments": (list,),
-    "prototypes": (list,), "objective": (int, float),
-}
-
-
-#: The method descriptor fields the loader reads, and the JSON type of each.
-DESCRIPTOR_FIELDS = {"algorithm": (str,), "prototype_kind": (str,),
-                     "metric": (str,), "window": (int,), "linkage": (str,),
-                     "size_weighted": (bool,), "init": (str,),
-                     "covariance_kind": (str,)}
+#: The top-level keys of a result JSON that hold a result field as it is.
+_FILE_FIELDS = ("k", "seed", "converged", "iterations", "assignments",
+                "prototypes", "objective")
 
 
 def load_result(path) -> ClusteringResult:
     """Rebuild a result from its JSON export.
 
     The trace is not serialized, so round-tripped results compare equal on
-    everything except ``trace``. A defect is one ``io.naming`` ValueError
-    naming the file: not JSON, not an object, or a field missing or of the
-    wrong type or range, inside the fields too (the descriptor's fields,
-    each label and medoid index, each vector prototype's entries).
+    everything except ``trace``. The loader reads only the file's shape: a
+    JSON object with the eight top-level keys, whose ``method`` is an
+    object holding ``algorithm`` and ``prototype_kind``; every field then
+    meets the rules of a fitted result, as ``ClusteringResult`` checks
+    them. A defect is one ``io.naming`` ValueError naming the file.
     """
-    doc = read_json(path, RESULT_FIELDS)
+    doc = read_json(path, ("method", *_FILE_FIELDS))
     with naming(path):
-        for key, types in RESULT_FIELDS.items():
-            check_types(key, (doc[key],), types)
         desc = doc["method"]
+        check_types("method", (desc,), (dict,))
         if not {"algorithm", "prototype_kind"} <= desc.keys():
             raise ValueError("method must hold algorithm and prototype_kind")
-        for key, types in DESCRIPTOR_FIELDS.items():
-            if key in desc:
-                check_types(f"method {key}", (desc[key],), types)
-        check_types("an assignment", doc["assignments"], (int,))
-        if desc["prototype_kind"] == MEDOID_INDEX:
-            check_types("a medoid index", doc["prototypes"], (int,))
-        elif desc["prototype_kind"] == VECTOR:
-            check_types("a prototype", doc["prototypes"], (list,))
-            for p in doc["prototypes"]:
-                check_types("a prototype entry", p, (int, float))
         metric = None
         if "metric" in desc:
             metric = MetricConfig(desc["metric"], desc.get("window", MetricConfig.window))
         return ClusteringResult(
-            method=desc["algorithm"],
-            k=doc["k"],
-            assignments=doc["assignments"],
-            prototypes=doc["prototypes"],
-            prototype_kind=desc["prototype_kind"],
-            objective=float(doc["objective"]),
-            iterations=doc["iterations"],
-            converged=doc["converged"],
-            seed=doc["seed"],
-            metric=metric,
-            **{key: desc.get(key) for key in _KNOBS},
-        )
+            method=desc["algorithm"], prototype_kind=desc["prototype_kind"],
+            metric=metric, **{key: doc[key] for key in _FILE_FIELDS},
+            **{key: desc.get(key) for key in _KNOBS})

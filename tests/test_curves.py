@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loadclust import (ClusteringResult, Dataset, DistanceMatrix, FitOptions,
-                       LoadCurve, MethodSpec, MetricConfig, RawReading,
+from loadclust import (ClusteringResult, Dataset, Dendrogram, DistanceMatrix,
+                       FitOptions, LoadCurve, MergeStep, MethodSpec,
+                       MetricConfig, RawReading,
                        SweepReport, SyntheticSpec, build_dendrogram, cut,
                        cut_range, default_archetypes, dtw, fit,
                        generate_synthetic, gmm_em, kmeans, kmedoids,
@@ -16,7 +17,7 @@ from loadclust import (ClusteringResult, Dataset, DistanceMatrix, FitOptions,
                        sweep, z_normalize)
 from loadclust.curves import ARCHETYPE_ORDER, HOURS_PER_DAY, PER_HOUR
 from loadclust.evaluation import METHODS
-from loadclust.results import MEDOID_INDEX
+from loadclust.results import MEDOID_INDEX, VECTOR
 
 from conftest import make_curve, per_hour_oracle, z_normalize_oracle
 
@@ -501,6 +502,34 @@ def tiny():
 #: A bool, a float and a str, where a count or a window is due.
 NOT_INTS = (True, 2.0, "2")
 
+
+def result_with(**fields):
+    """A valid two-curve, two-cluster medoid result, with ``fields`` in
+    place of its own."""
+    kw = dict(method="ahc", k=2, assignments=(0, 1), prototypes=(0, 1),
+              prototype_kind=MEDOID_INDEX, objective=0.0, iterations=1,
+              converged=True)
+    return ClusteringResult(**{**kw, **fields})
+
+
+def vector_with(first):
+    """``result_with`` of two vector prototypes, the first ``first``."""
+    return result_with(prototype_kind=VECTOR,
+                       prototypes=(first, (1.0,) * HOURS_PER_DAY))
+
+
+def merge_with(**fields):
+    """A valid merge of leaves 0 and 1, with ``fields`` in place of its own."""
+    return MergeStep(**{**dict(left=0, right=1, height=0.5, new_size=2), **fields})
+
+
+def tree_with(**fields):
+    """A valid two-leaf tree of ``merge_with()``, with ``fields`` in place
+    of its own."""
+    return Dendrogram(**{**dict(n_leaves=2, linkage="average",
+                                merges=(merge_with(),)), **fields})
+
+
 #: Every entry point of a count, window or flag: its call on ``tiny`` and
 #: the wrongly typed values it must refuse.
 ENTRY_POINTS = {
@@ -537,6 +566,36 @@ ENTRY_POINTS = {
        for method in METHODS},
     "ClusteringResult k": (lambda t, v: ClusteringResult(
         "ahc", v, (0, 1), (0, 1), MEDOID_INDEX, 0.0, 1, True), NOT_INTS),
+    **{f"ClusteringResult {name}": (lambda t, v, name=name: result_with(
+        **{name: v}), values) for name, values in {
+        "method": (5, None), "prototype_kind": (5,),
+        "objective": (True, "0.5"), "iterations": NOT_INTS,
+        "converged": (1, "no", None), "seed": (True, 1.5, "0"),
+        "metric": ("dtw",), "linkage": (5,), "init": (5,),
+        "covariance_kind": (5,), "size_weighted": (1, "x"),
+        "assignments": ("01", range(2)), "prototypes": ("01", range(2)),
+    }.items()},
+    "ClusteringResult an assignment":
+        (lambda t, v: result_with(assignments=(0, v)), (True, 1.0, "1")),
+    "ClusteringResult a medoid index":
+        (lambda t, v: result_with(prototypes=(0, v)), (True, 1.0, "1")),
+    "ClusteringResult a prototype":
+        (lambda t, v: vector_with(v), ("0" * HOURS_PER_DAY,)),
+    "ClusteringResult a prototype entry":
+        (lambda t, v: vector_with((0.0,) * (HOURS_PER_DAY - 1) + (v,)),
+         (True, "0.5")),
+    **{f"MergeStep {name}": (lambda t, v, name=name: merge_with(**{name: v}),
+                             NOT_INTS) for name in ("left", "right", "new_size")},
+    "MergeStep height": (lambda t, v: merge_with(height=v), (True, "0.5")),
+    "Dendrogram n_leaves": (lambda t, v: tree_with(n_leaves=v), NOT_INTS),
+    "Dendrogram size_weighted":
+        (lambda t, v: tree_with(size_weighted=v), (1, "x")),
+    "Dendrogram a merge": (lambda t, v: tree_with(merges=(v,)), ((0, 1, 0.5, 2),)),
+    "SweepReport diagnostics":
+        (lambda t, v: SweepReport(MethodSpec("ahc"), (), diagnostics=v), ("abc",)),
+    "SweepReport a diagnostic":
+        (lambda t, v: SweepReport(MethodSpec("ahc"), (), diagnostics=(v,)),
+         (1, None)),
 }
 
 

@@ -537,6 +537,37 @@ class TestCliRejections:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["curves.csv", "curves.csv.json"]
 
+    @pytest.mark.parametrize("argv, clash", [
+        (("sweep", "--output", "curves.csv", "--k-min", 2, "--k-max", 4),
+         "write over {}/curves.csv, an input of the run"),
+        (("sweep", "--output", "alias.csv", "--k-min", 2, "--k-max", 4),
+         "write over {}/curves.csv, an input of the run"),
+        (("cluster", "--output", "r.json", "--k", 3, "--save-matrix",
+          "./curves.csv"), "write over {}/curves.csv, an input of the run"),
+        (("cluster", "--output", "curves.csv.json", "--k", 3),
+         "write over {}/curves.csv.json, an input of the run"),
+        (("cluster", "--output", "r.json", "--k", 3, "--load-matrix", "m.dmx",
+          "--save-matrix", "m.dmx"), "write over {}/m.dmx, an input of the run"),
+        (("cluster", "--output", "r.json", "--k", 3, "--save-matrix",
+          "r.json"), "write {}/r.json twice"),
+    ], ids=["sweep-output", "sweep-output-symlink", "cluster-save-matrix",
+            "cluster-output-manifest", "cluster-cache", "cluster-twice"])
+    def test_output_naming_an_input_exits_2_leaving_every_file_unchanged(
+            self, tmp_path, synth_file, argv, clash, capsys, monkeypatch):
+        """Every written path (--output, its sidecar, --save-matrix) is
+        compared by its real path with every read one (--input, its
+        sidecar, --load-matrix) and the other written ones, before any
+        file is read or written."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "alias.csv").symlink_to(synth_file)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        rc = run_cli(argv[0], "--input", "curves.csv", *argv[1:])
+        assert rc == 2
+        real = os.path.realpath(tmp_path)
+        assert capsys.readouterr().err == \
+            f"error: refusing to {clash.format(real)}\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 #: The soft and hard address space limit of ``ulimit -v 1400000``.
 AS_LIMIT = (1400000 * 1024,) * 2

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,20 @@ class TestArrayInputs:
         assert all(type(v) is (int if r.prototype_kind == "medoid-index"
                                else tuple) for v in a.prototypes)
         assert result_to_json(a) == result_to_json(r)
+
+    @pytest.mark.parametrize("field, array, refused", [
+        ("assignments", np.array([0.0, 0.0, 1.0]), "an assignment"),
+        ("assignments", np.array([False, False, True]), "an assignment"),
+        ("prototypes", np.array([0.0, 2.0]), "a medoid index"),
+        ("prototypes", np.array([False, True]), "a medoid index"),
+    ])
+    def test_float_and_bool_arrays_are_refused(self, field, array, refused):
+        """An array goes through one ``tolist``: its floats or bools meet
+        the int rule as they would in a tuple, never a silent ``int``."""
+        first = array.tolist()[0]
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{refused} has the wrong type: {first!r}") + "$"):
+            medoid_result(**{field: array})
 
 
 class TestFitOptions:
